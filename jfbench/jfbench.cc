@@ -4,7 +4,7 @@
 //   jfbench --plan plan.json --out result.json
 //
 // plan.json (written by run.py):
-//   {"mode": "sweep" | "serve", "threads": 4, "seconds": 30, "min_passes": 1,
+//   {"mode": "sweep" | "serve", "seconds": 30, "min_passes": 1,
 //    "trace": false, "store_dir": "...",
 //    "jobs": [{"name": "...", "file": "...", "out": "..."}]}
 //
@@ -42,28 +42,25 @@
 #include "obs/trace.h"
 #include "store/result_store.h"
 
-#ifdef JFB_TRACED
-#include "layers.h"
-#endif
-
 namespace fs = std::filesystem;
 using namespace jf;
 
 namespace {
 
+// The engine's --threads for every workload: one process at a time, no
+// more workers than the 4-core machine the sizes were chosen on.
+constexpr int kThreads = 4;
+
 // Schedule-independent counters: equal in every pass of one input, at any
 // thread count. run.py fails the run when any of them drifts.
 const std::vector<std::string> kWorkCounters = {
-    "engine.cells",        "engine.cells_solved",    "engine.cell_memo_hits",
-    "engine.cell_store_hits", "mcf.solves",          "mcf.phases",
-    "mcf.rounds",          "sim.runs",               "sim.rounds",
-    "sim.events",          "sim.handoffs",           "store.hits",
-    "store.misses",        "store.puts",             "store.dropped",
-    "store.bytes_read",    "store.bytes_written",    "jfb.topo.builds",
-    "jfb.topo.links",      "jfb.traffic.samples",    "jfb.traffic.commodities",
-    "jfb.routing.pairs",   "jfb.routing.paths",      "jfb.restricted.solves",
-    "jfb.partition.calls", "jfb.expansion.steps",    "jfb.layout.calls",
-    "jfb.sim.calls",       "jfb.sim.serial_calls",
+    "engine.cells", "engine.cells_solved", "engine.cell_memo_hits", "engine.cell_store_hits",
+    "mcf.solves", "mcf.phases", "mcf.rounds", "sim.runs", "sim.rounds", "sim.events",
+    "sim.handoffs", "store.hits", "store.misses", "store.puts", "store.dropped",
+    "store.bytes_read", "store.bytes_written", "jfb.topo.builds", "jfb.topo.links",
+    "jfb.traffic.samples", "jfb.traffic.commodities", "jfb.routing.pairs", "jfb.routing.paths",
+    "jfb.mcf.calls", "jfb.restricted.solves", "jfb.partition.calls", "jfb.expansion.steps",
+    "jfb.layout.calls", "jfb.sim.calls", "jfb.sim.serial_calls",
 };
 
 // Span name of each interposed layer (layers.cc) -> per-layer metric.
@@ -83,7 +80,6 @@ struct Job {
 
 struct Plan {
   std::string mode;
-  int threads = 4;
   double seconds = 10.0;
   int min_passes = 1;
   bool trace = false;
@@ -101,7 +97,6 @@ Plan load_plan(const std::string& path) {
   Plan p;
   p.mode = get("mode").as_string();
   if (p.mode != "sweep" && p.mode != "serve") throw std::invalid_argument("plan: bad mode");
-  p.threads = static_cast<int>(get("threads").as_int());
   p.seconds = get("seconds").as_number();
   p.min_passes = static_cast<int>(get("min_passes").as_int());
   p.trace = get("trace").as_bool();
@@ -248,7 +243,7 @@ PassOut sweep_pass(const Plan& p, bool traced) {
   const double load_s = t.seconds();
   eval::BatchStats stats;
   eval::EngineOptions opts;
-  opts.threads = p.threads;
+  opts.threads = kThreads;
   opts.stats = &stats;
   const double run_t0 = t.seconds();
   eval::SweepReport report = eval::run_sweep(
@@ -303,7 +298,7 @@ PassOut serve_pass(const Plan& p, bool traced) {
   // cell phase (load, expansion, validation, shared builds, warm-up).
   double setup_s = t.seconds();
   eval::EngineOptions opts;
-  opts.threads = p.threads;
+  opts.threads = kThreads;
   opts.store = st.get();
   double load_s = 0.0, report_s = 0.0;
   std::int64_t report_bytes = 0, cells = 0;
@@ -420,11 +415,6 @@ int run(const std::string& plan_path, const std::string& out_path) {
     if (done >= p.min_passes && total.seconds() + longest > p.seconds) break;
   }
   result.emplace_back("passes", json::Value(std::move(passes)));
-#ifdef JFB_TRACED
-  json::Object bound;
-  for (const auto& [layer, ok] : jfb::layer_bindings()) bound.emplace_back(layer, ok);
-  result.emplace_back("layer_bindings", json::Value(std::move(bound)));
-#endif
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   result.emplace_back("peak_rss_mb", static_cast<double>(ru.ru_maxrss) / 1024.0);

@@ -9,12 +9,11 @@
 // spans, so jfbench.cc can split each cell's time into layer self-times.
 // Nothing in src/ changes, and the plain jfbench binary carries none of it.
 //
-// The __real_ references are weak: if a later change renames or re-signs
-// an entry point, the old symbol disappears, the wrapper is never called,
-// and layer_bindings() reports the layer as unbound instead of the link
-// failing. Its time then shows up as unattributed.
-#include "layers.h"
-
+// The __real_ references are strong: if a later change renames or re-signs
+// an entry point, __real_<old name> stays undefined and the jfbench_traced
+// link fails, so a layer can never go dark unnoticed; update the mangled
+// name below. run.py also checks that every layer its workload exercises
+// was called.
 #include <span>
 
 #include "eval/scenario.h"
@@ -35,7 +34,7 @@
 using namespace jf;
 
 #define JFB_WRAP(sym) __asm__("__wrap_" sym)
-#define JFB_REAL(sym) __asm__("__real_" sym) __attribute__((weak))
+#define JFB_REAL(sym) __asm__("__real_" sym)
 
 #define SYM_BUILD "_ZN2jf4eval14build_topologyERKNS0_12TopologySpecERNS_3RngE"
 #define SYM_SAMPLE "_ZNK2jf4eval11TrafficSpec6sampleEiRNS_3RngE"
@@ -124,7 +123,9 @@ flow::McfResult wrap_mcf(const graph::Graph&, std::span<const traffic::Commodity
                          const flow::McfOptions&, parallel::WorkBudget*) JFB_WRAP(SYM_MCF);
 flow::McfResult wrap_mcf(const graph::Graph& g, std::span<const traffic::Commodity> c,
                          const flow::McfOptions& o, parallel::WorkBudget* b) {
+  static obs::Counter& calls = obs::counter("jfb.mcf.calls");
   obs::Span span("jfb.mcf", "jfbench");
+  calls.increment();
   return real_mcf(g, c, o, b);
 }
 
@@ -199,21 +200,3 @@ sim::WorkloadResult wrap_sim(const topo::Topology& t, const traffic::TrafficMatr
   if (cfg.shards <= 1) serial.increment();
   return real_sim(t, tm, cfg, routes, rng, budget, telem);
 }
-
-namespace jfb {
-
-std::vector<std::pair<std::string, bool>> layer_bindings() {
-  return {
-      {"topo", real_build != nullptr},
-      {"traffic", real_sample != nullptr && real_commodities != nullptr},
-      {"routing", real_paths != nullptr},
-      {"mcf", real_mcf != nullptr},
-      {"restricted", real_restricted != nullptr},
-      {"partition", real_bisection != nullptr && real_partition != nullptr},
-      {"expansion", real_growth != nullptr},
-      {"layout", real_place != nullptr && real_cabling != nullptr},
-      {"sim", real_sim != nullptr},
-  };
-}
-
-}  // namespace jfb

@@ -19,7 +19,6 @@ END_TO_END = [
     ("peak_rss_mb", "MB", "lower"),
     ("job_ms_p50", "ms", "lower"),
     ("job_ms_tail", "ms", "lower"),
-    ("jobs_per_s", "1/s", "higher"),
 ]
 
 # name, unit, moves

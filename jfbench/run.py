@@ -27,7 +27,7 @@ import metrics as M  # noqa: E402
 import workloads  # noqa: E402
 
 ROOT = os.path.dirname(HERE)
-THREADS = 4
+BUILD_JOBS = 4
 GK_EPSILON = 0.08  # McfOptions default; the generated scenarios keep it
 
 
@@ -49,7 +49,7 @@ def build(bdir):
         if shutil.which("ninja"):
             cmd += ["-G", "Ninja"]
         subprocess.run(cmd, check=True, stdout=sys.stderr, stderr=sys.stderr)
-    subprocess.run(["cmake", "--build", bdir, "-j", str(THREADS)], check=True,
+    subprocess.run(["cmake", "--build", bdir, "-j", str(BUILD_JOBS)], check=True,
                    stdout=sys.stderr, stderr=sys.stderr)
 
 
@@ -75,21 +75,36 @@ def jobs_per_pass(gen):
     return n
 
 
+def exe_path(bdir, traced):
+    return os.path.join(bdir, "jfbench_traced" if traced else "jfbench")
+
+
+def file_digest(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def run_binary(bdir, work, gen, jobs, seconds, traced, min_passes, tag):
+    """One jfbench process. A process that crashes, exits non-zero or times
+    out comes back as one failed pass, so run.py still prints its result."""
     plan = {
-        "mode": gen["mode"], "threads": THREADS, "seconds": seconds,
-        "min_passes": min_passes,
+        "mode": gen["mode"], "seconds": seconds, "min_passes": min_passes,
         "trace": traced, "store_dir": os.path.join(work, "store"), "jobs": jobs,
     }
     plan_path = os.path.join(work, "plan-%s.json" % tag)
     out_path = os.path.join(work, "result-%s.json" % tag)
     with open(plan_path, "w") as f:
         json.dump(plan, f)
-    exe = os.path.join(bdir, "jfbench_traced" if traced else "jfbench")
-    subprocess.run([exe, "--plan", plan_path, "--out", out_path], check=True,
-                   stdout=sys.stderr, stderr=sys.stderr, timeout=170)
-    with open(out_path) as f:
-        return json.load(f)
+    try:
+        subprocess.run([exe_path(bdir, traced), "--plan", plan_path, "--out", out_path],
+                       check=True, stdout=sys.stderr, stderr=sys.stderr, timeout=170)
+        with open(out_path) as f:
+            return json.load(f)
+    except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as e:
+        return {"passes": [{"error": "jfbench process: %s" % e}], "fingerprint": None}
 
 
 # --- output checks -------------------------------------------------------------
@@ -130,8 +145,10 @@ def sanity(workload, jobs, checks, detail):
                                     % (job["name"], label, topo, metric, value))
             if workload == "fluid_mcf" and metric == "throughput" and \
                     topo.startswith("fattree") and "fail_links=0]" in label:
-                # A full-bisection fat-tree has optimal throughput 1; GK
-                # certifies at least (1 - eps)^3 of the optimum.
+                # A full-bisection fat-tree has optimal throughput 1.
+                # Garg-Koenemann run to completion finds at least
+                # (1 - eps)^3 of it; the solver's convergence stop can end
+                # below that, which fails here (README: known defects).
                 floor = (1.0 - GK_EPSILON) ** 3
                 ok &= checks.expect(value >= floor, "%s %s: fat-tree optimal throughput %r < %.4f"
                                     % (label, topo, value, floor))
@@ -182,12 +199,19 @@ def identity(results, gen, checks):
     return bad
 
 
-def remember_work(bdir, workload, gen, results, checks):
-    """Work counts must also repeat across runs of the same build and inputs."""
-    key = hashlib.sha256(json.dumps(gen, sort_keys=True).encode()).hexdigest()[:16]
+def remember_work(store, workload, gen, builds, results, checks):
+    """Work counts must also repeat across runs of the same build and inputs.
+
+    Counts are kept under `store`, keyed by the inputs and by the digest of
+    the binary that made them (builds: {"plain": digest, "traced": digest}),
+    so only reruns of the same executable are compared: a rebuilt program
+    may legitimately do different work.
+    """
+    inputs = hashlib.sha256(json.dumps(gen, sort_keys=True).encode()).hexdigest()[:16]
     for res in results:
         kind = "traced" if res["traced"] else "plain"
-        path = os.path.join(bdir, "workcounts", "%s-%s-%s.json" % (workload, key, kind))
+        path = os.path.join(store, "%s-%s-%s-%s.json"
+                            % (workload, inputs, kind, builds[kind][:16]))
         work = res["passes"][0]["work"]
         if os.path.exists(path):
             with open(path) as f:
@@ -221,7 +245,6 @@ def end_to_end(res, gen, detail):
         "peak_rss_mb": res["peak_rss_mb"],
         "job_ms_p50": M.percentile(lat, 50.0),
         "job_ms_tail": M.percentile(lat, tail_p),
-        "jobs_per_s": M.median([len(p["latencies_ms"]) / p["wall_s"] for p in passes]),
     }
 
 
@@ -295,9 +318,26 @@ def layer_values(p):
     }
 
 
-def per_layer(plain, traced, checks, detail):
+# Each workload's interposed layers, by the wrapper's own call counter: a
+# layer whose wrapper never runs (an entry point moved or inlined away)
+# fails the traced run instead of reading 0.
+EXERCISED = {
+    "fluid_mcf": ["jfb.topo.builds", "jfb.traffic.samples", "jfb.traffic.commodities",
+                  "jfb.mcf.calls"],
+    "packet_sim": ["jfb.topo.builds", "jfb.traffic.samples", "jfb.routing.pairs",
+                   "jfb.sim.calls"],
+    "serve_mixed": ["jfb.topo.builds", "jfb.traffic.samples", "jfb.routing.pairs",
+                    "jfb.restricted.solves", "jfb.partition.calls", "jfb.expansion.steps",
+                    "jfb.layout.calls"],
+}
+
+
+def per_layer(workload, plain, traced, checks, detail):
     rows = []
     for p in traced:
+        missing = [c for c in EXERCISED[workload] if p["work"][c] == 0]
+        checks.expect(not missing, "%s: interposed layers never called: %s"
+                      % (workload, ", ".join(missing)))
         v = layer_values(p)
         tol = 1e-3 * max(v["cell_s"], 1e-3)
         checks.expect(p["layers"]["dropped_events"] == 0,
@@ -313,6 +353,8 @@ def per_layer(plain, traced, checks, detail):
     untraced_wall = M.median([p["wall_s"] for p in plain])
     traced_wall = M.median([p["wall_s"] for p in traced])
     out["trace_overhead_pct"] = 100.0 * (traced_wall / untraced_wall - 1.0)
+    detail["trace_dropped_events"] = max(p["layers"]["dropped_events"] for p in traced)
+    detail["unattributed_s_min"] = min(r["unattributed_s"] for r in rows)
     # The serial sim engine counts no events: say so instead of printing 0.
     unmetered = out["sim.unmetered_runs"]
     detail["sim.events"] = {
@@ -340,7 +382,7 @@ def main(argv=None):
     os.makedirs(work)
     jobs = write_inputs(gen, work)
     checks = Checks()
-    detail = {"workload": args.workload, "seed": args.seed, "threads": THREADS}
+    detail = {"workload": args.workload, "seed": args.seed}
 
     results = []
     if args.trace == 0:
@@ -359,7 +401,7 @@ def main(argv=None):
             res["traced"] = traced
             results.append(res)
             i += 1
-    detail["fingerprint"] = results[0]["fingerprint"]
+    detail["fingerprint"] = next((r["fingerprint"] for r in results if r["fingerprint"]), None)
 
     # A pass the program aborted counts all its jobs as failed; the
     # metrics come from the passes that completed.
@@ -379,16 +421,18 @@ def main(argv=None):
     values, units = {}, {}
     if plain and (traced or args.trace == 0):
         bad = sanity(args.workload, jobs, checks, detail) | identity(complete, gen, checks)
-        remember_work(bdir, args.workload, gen, complete, checks)
+        builds = {"plain": file_digest(exe_path(bdir, False)),
+                  "traced": file_digest(exe_path(bdir, True))}
+        remember_work(os.path.join(bdir, "workcounts"), args.workload, gen, builds,
+                      complete, checks)
         points = 1 if gen["mode"] == "serve" else per_pass
         failed += points * len(bad) * (len(plain) + len(traced))
         if args.trace == 0:
             values = end_to_end(complete[0], gen, detail)
             units = {n: u for n, u, _ in M.END_TO_END}
         else:
-            values = per_layer(plain, traced, checks, detail)
+            values = per_layer(args.workload, plain, traced, checks, detail)
             units = {n: u for n, u, _ in M.PER_LAYER}
-            detail["layer_bindings"] = next(r for r in complete if r["traced"])["layer_bindings"]
     if checks.failures and failed == 0:
         failed = 1  # a run-wide check (work counts, layer sum) failed
     failed = min(failed, attempted)
@@ -408,6 +452,6 @@ def main(argv=None):
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except (subprocess.CalledProcessError, subprocess.TimeoutExpired, OSError) as e:
+    except (subprocess.CalledProcessError, OSError) as e:
         log("jfbench: %s" % e)
         sys.exit(2)

@@ -5,7 +5,9 @@
 
 import json
 import os
+import stat
 import sys
+import tempfile
 import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -13,6 +15,7 @@ BENCH = os.path.dirname(HERE)
 sys.path.insert(0, BENCH)
 
 import metrics as M  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -94,6 +97,42 @@ class TailTest(unittest.TestCase):
         self.assertEqual(M.percentile(vals, 50.0), 3.0)
         self.assertEqual(M.percentile(vals, 100.0), 5.0)
         self.assertEqual(M.median([4.0, 1.0, 3.0, 2.0]), 2.5)
+
+
+class RememberWorkTest(unittest.TestCase):
+    GEN = workloads.generate("fluid_mcf", 1)
+
+    def remember(self, store, build, count):
+        checks = run.Checks()
+        results = [{"traced": False, "passes": [{"work": {"mcf.rounds": count}}]}]
+        run.remember_work(store, "fluid_mcf", self.GEN, {"plain": build, "traced": "t"},
+                          results, checks)
+        return checks.failures
+
+    def test_same_build_must_repeat_its_counts(self):
+        with tempfile.TemporaryDirectory() as store:
+            self.assertEqual(self.remember(store, "a" * 64, 100), [])
+            self.assertEqual(self.remember(store, "a" * 64, 100), [])
+            self.assertEqual(len(self.remember(store, "a" * 64, 101)), 1)
+
+    def test_other_build_may_do_other_work(self):
+        with tempfile.TemporaryDirectory() as store:
+            self.assertEqual(self.remember(store, "a" * 64, 100), [])
+            self.assertEqual(self.remember(store, "b" * 64, 90), [])
+            self.assertEqual(self.remember(store, "a" * 64, 100), [])
+
+
+class CrashedProcessTest(unittest.TestCase):
+    def test_crash_is_a_failed_pass(self):
+        with tempfile.TemporaryDirectory() as bdir:
+            exe = run.exe_path(bdir, False)
+            with open(exe, "w") as f:
+                f.write("#!/bin/sh\nkill -SEGV $$\n")
+            os.chmod(exe, stat.S_IRWXU)
+            gen = workloads.generate("fluid_mcf", 1)
+            res = run.run_binary(bdir, bdir, gen, [], 1.0, False, 1, "x")
+            self.assertEqual(len(res["passes"]), 1)
+            self.assertIn("error", res["passes"][0])
 
 
 class BenchmarkJsonTest(unittest.TestCase):
