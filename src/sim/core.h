@@ -1,11 +1,11 @@
-// Shared state types for the packet-level simulator engines.
+// State types for the packet-level simulator.
 //
-// Two engines execute the same simulation semantics: the serial
-// sim::Simulator (one event heap) and sim::sharded::ShardedSimulator (one
-// heap per link shard, advanced in conservative-lookahead rounds). Both are
-// thin drivers around the same link mechanics (sim/event_loop.h) and the
-// same transport state machines (sim/transport_ops.h), operating on the
-// types defined here — which is what makes their results bit-identical.
+// sim::sharded::ShardedSimulator (sim/sharded/sharded_sim.h) runs one event
+// heap per link shard, advanced in conservative-lookahead rounds; with one
+// shard it is a plain serial event loop. Every shard drives the same link
+// mechanics (sim/event_loop.h) and transport state machines
+// (sim/transport_ops.h) over the types defined here — which is what makes
+// results bit-identical at any shard count.
 //
 // Determinism contract. Events are processed in (time, order) order, where
 // `order` is NOT a global arrival counter (that would encode the scheduler's
@@ -13,10 +13,10 @@
 // every event carries the identity of the entity whose state machine emitted
 // it — a link starting a transmission, a subflow arming a timer — plus that
 // entity's own emission count. Each entity's event sequence is a pure
-// function of the simulation's pre-shard global state: both engines drive
-// every entity through the same handler sequence, so they assign identical
-// keys, sort identically, and produce identical results at any shard or
-// worker count.
+// function of the simulation's pre-shard global state: every shard count
+// drives every entity through the same handler sequence, so runs assign
+// identical keys, sort identically, and produce identical results at any
+// shard or worker count.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +109,7 @@ struct Subflow {
   std::int64_t timeouts = 0;
   // Packets this subflow may originate: -1 = unlimited (backlogged flow),
   // otherwise try_send stops offering new sequences at this bound. Set via
-  // the engines' set_flow_size(), which splits a sized flow's packet total
+  // the engine's set_flow_size(), which splits a sized flow's packet total
   // across its subflows.
   std::int32_t limit_pkts = -1;
   // Emission counter behind this subflow's event-order keys (see EventOrder).
@@ -234,82 +234,9 @@ struct EventAfter {
 };
 
 // Serialization delay of `size_bytes` at `rate_bps`, in integer ns — the
-// single rounding point both engines share.
+// single rounding point of every transmission.
 inline TimeNs transmit_time_ns(int size_bytes, double rate_bps) {
   return static_cast<TimeNs>(static_cast<double>(size_bytes) * 8.0 * 1e9 / rate_bps);
-}
-
-// Uncongested traversal time of a `bytes`-sized packet over `path`.
-inline TimeNs path_traversal_ns(const std::vector<Link>& links, const std::vector<int>& path,
-                                int bytes) {
-  TimeNs total = 0;
-  for (int l : path) {
-    total += links[static_cast<std::size_t>(l)].delay_ns +
-             transmit_time_ns(bytes, links[static_cast<std::size_t>(l)].rate_bps);
-  }
-  return total;
-}
-
-// Validates the paths and builds a fully initialized Subflow. Shared by
-// both engines' add_subflow so connection setup can never diverge between
-// them — any drift here would break the serial/sharded bit-identity
-// contract.
-inline Subflow make_subflow(const std::vector<Link>& links, const SimConfig& cfg,
-                            std::vector<int> data_path, std::vector<int> ack_path,
-                            TimeNs start_time) {
-  check(!data_path.empty() && !ack_path.empty(), "add_subflow: empty path");
-  for (int l : data_path) {
-    check(l >= 0 && l < static_cast<int>(links.size()), "add_subflow: bad data link");
-  }
-  for (int l : ack_path) {
-    check(l >= 0 && l < static_cast<int>(links.size()), "add_subflow: bad ack link");
-  }
-  Subflow sf;
-  sf.data_path = std::move(data_path);
-  sf.ack_path = std::move(ack_path);
-  sf.start_time = start_time;
-  sf.ack_return_ns = path_traversal_ns(links, sf.ack_path, cfg.ack_bytes);
-  sf.cwnd = cfg.initial_cwnd_pkts;
-  sf.rto_ns = cfg.initial_rto_ns;
-  return sf;
-}
-
-// Sizes a flow: `bytes` of payload become ceil(bytes / payload) packets,
-// split as evenly as possible across the flow's subflows (earlier subflows
-// absorb the remainder). bytes == 0 restores the backlogged default. Shared
-// by both engines' set_flow_size so sized runs can never diverge.
-inline void set_flow_size_of(const SimConfig& cfg, Flow& f, std::int64_t bytes) {
-  check(bytes >= 0, "set_flow_size: negative size");
-  check(!f.subflows.empty(), "set_flow_size: flow has no subflows");
-  f.size_bytes = bytes;
-  if (bytes == 0) {
-    for (Subflow& sf : f.subflows) sf.limit_pkts = -1;
-    return;
-  }
-  const auto total_pkts = (bytes + cfg.payload_bytes - 1) / cfg.payload_bytes;
-  const auto n = static_cast<std::int64_t>(f.subflows.size());
-  const std::int64_t base = total_pkts / n;
-  const std::int64_t rem = total_pkts % n;
-  for (std::int64_t s = 0; s < n; ++s) {
-    f.subflows[static_cast<std::size_t>(s)].limit_pkts =
-        static_cast<std::int32_t>(base + (s < rem ? 1 : 0));
-  }
-}
-
-inline std::int64_t total_link_drops(const std::vector<Link>& links) {
-  std::int64_t total = 0;
-  for (const auto& l : links) total += l.drops;
-  return total;
-}
-
-// Normalized goodput over the measurement window (1.0 = NIC rate); the one
-// formula both engines report through.
-inline double normalized_goodput_of(const SimConfig& cfg, TimeNs measure_start,
-                                    TimeNs measure_end, const Flow& f) {
-  check(measure_end > measure_start, "normalized_goodput: no measurement window set");
-  const double seconds = static_cast<double>(measure_end - measure_start) / 1e9;
-  return static_cast<double>(f.delivered_bytes_measured) * 8.0 / seconds /
-         cfg.link_rate_bps;
 }
 
 }  // namespace jf::sim

@@ -101,8 +101,25 @@ void ShardedSimulator::add_subflow(int flow, std::vector<int> data_path,
                                    std::vector<int> ack_path, TimeNs start_time) {
   check(!started_, "add_subflow: simulation already started");
   check(flow >= 0 && flow < num_flows(), "add_subflow: bad flow id");
-  flows_[static_cast<std::size_t>(flow)].subflows.push_back(
-      make_subflow(links_, cfg_, std::move(data_path), std::move(ack_path), start_time));
+  check(!data_path.empty() && !ack_path.empty(), "add_subflow: empty path");
+  for (int l : data_path) {
+    check(l >= 0 && l < static_cast<int>(links_.size()), "add_subflow: bad data link");
+  }
+  for (int l : ack_path) {
+    check(l >= 0 && l < static_cast<int>(links_.size()), "add_subflow: bad ack link");
+  }
+  Subflow sf;
+  sf.data_path = std::move(data_path);
+  sf.ack_path = std::move(ack_path);
+  sf.start_time = start_time;
+  // Uncongested return time of an ACK: per hop, wire delay plus serialization.
+  for (int l : sf.ack_path) {
+    const Link& link = links_[static_cast<std::size_t>(l)];
+    sf.ack_return_ns += link.delay_ns + transmit_time_ns(cfg_.ack_bytes, link.rate_bps);
+  }
+  sf.cwnd = cfg_.initial_cwnd_pkts;
+  sf.rto_ns = cfg_.initial_rto_ns;
+  flows_[static_cast<std::size_t>(flow)].subflows.push_back(std::move(sf));
 }
 
 void ShardedSimulator::set_measure_window(TimeNs start, TimeNs end) {
@@ -114,7 +131,24 @@ void ShardedSimulator::set_measure_window(TimeNs start, TimeNs end) {
 void ShardedSimulator::set_flow_size(int flow, std::int64_t bytes) {
   check(!started_, "set_flow_size: simulation already started");
   check(flow >= 0 && flow < num_flows(), "set_flow_size: bad flow id");
-  set_flow_size_of(cfg_, flows_[static_cast<std::size_t>(flow)], bytes);
+  check(bytes >= 0, "set_flow_size: negative size");
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
+  check(!f.subflows.empty(), "set_flow_size: flow has no subflows");
+  f.size_bytes = bytes;
+  if (bytes == 0) {
+    for (Subflow& sf : f.subflows) sf.limit_pkts = -1;
+    return;
+  }
+  // ceil(bytes / payload) packets, split as evenly as possible across the
+  // subflows (earlier subflows absorb the remainder).
+  const auto total_pkts = (bytes + cfg_.payload_bytes - 1) / cfg_.payload_bytes;
+  const auto n = static_cast<std::int64_t>(f.subflows.size());
+  const std::int64_t base = total_pkts / n;
+  const std::int64_t rem = total_pkts % n;
+  for (std::int64_t s = 0; s < n; ++s) {
+    f.subflows[static_cast<std::size_t>(s)].limit_pkts =
+        static_cast<std::int32_t>(base + (s < rem ? 1 : 0));
+  }
 }
 
 void ShardedSimulator::set_telemetry(Telemetry* telemetry) {
@@ -145,10 +179,18 @@ int ShardedSimulator::link_shard(int id) const {
   return link_shard_[static_cast<std::size_t>(id)];
 }
 
-std::int64_t ShardedSimulator::total_drops() const { return total_link_drops(links_); }
+std::int64_t ShardedSimulator::total_drops() const {
+  std::int64_t total = 0;
+  for (const Link& l : links_) total += l.drops;
+  return total;
+}
 
 double ShardedSimulator::normalized_goodput(int flow_id) const {
-  return normalized_goodput_of(cfg_, measure_start_, measure_end_, flow(flow_id));
+  const Flow& f = flow(flow_id);
+  check(measure_end_ > measure_start_, "normalized_goodput: no measurement window set");
+  const double seconds = static_cast<double>(measure_end_ - measure_start_) / 1e9;
+  return static_cast<double>(f.delivered_bytes_measured) * 8.0 / seconds /
+         cfg_.link_rate_bps;
 }
 
 TimeNs ShardedSimulator::lookahead_ns() const {

@@ -7,11 +7,13 @@
 // per-server and per-flow goodput under {TCP x n, MPTCP x k subflows} over
 // {ECMP-w, KSP-k} routing.
 //
-// With cfg.shards == 1 the serial sim::Simulator runs the workload; with
-// shards > 1 the link set is partitioned (sharded::ShardPlan — per-switch
-// KL domains, servers pinned with their ToR) and the conservative-lookahead
-// sharded engine runs it on workers borrowed from the caller's WorkBudget.
-// Results are byte-identical either way, at any shard or worker count.
+// One engine runs every workload: sharded::ShardedSimulator. With
+// cfg.shards == 1 it has a single shard, no cut links, and runs the whole
+// horizon as one round on the calling thread; with shards > 1 the link set
+// is partitioned (sharded::ShardPlan — per-switch KL domains, servers
+// pinned with their ToR) and the shards run in conservative-lookahead
+// rounds on workers borrowed from the caller's WorkBudget. Results are
+// byte-identical at any shard or worker count.
 #pragma once
 
 #include <vector>
@@ -20,7 +22,8 @@
 #include "common/rng.h"
 #include "routing/path_provider.h"
 #include "routing/paths.h"
-#include "sim/simulator.h"
+#include "sim/core.h"
+#include "sim/telemetry.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
 
@@ -37,10 +40,10 @@ struct WorkloadConfig {
   int parallel_connections = 1;  // TCP connections per traffic-matrix flow
   int subflows = 8;              // MPTCP subflows per flow
   SimConfig sim;
-  // Event-loop sharding: 1 selects the serial engine; N > 1 partitions the
-  // links into (up to) N shards for the parallel engine. Purely a speed
-  // knob — goodput, drops, and retransmit counts are byte-identical at any
-  // value.
+  // Event-loop sharding: 1 runs the engine as a single shard; N > 1
+  // partitions the links into (up to) N shards that advance in parallel.
+  // Purely a speed knob — goodput, drops, and retransmit counts are
+  // byte-identical at any value.
   int shards = 1;
   TimeNs warmup_ns = 15 * kMillisecond;   // slow-start convergence
   TimeNs measure_ns = 40 * kMillisecond;
@@ -69,7 +72,7 @@ struct WorkloadResult {
 // Runs the traffic matrix on the topology and reports goodput statistics.
 // Deterministic given (topology, tm, config, rng seed). Routing comes from
 // cfg.routing, resolved through routing::make_path_provider. `budget` (may
-// be null) lends workers to the sharded engine when cfg.shards > 1.
+// be null) lends workers to the shards when cfg.shards > 1.
 // `telemetry` (may be null), built with cfg.telemetry_epoch_ns, is attached
 // to the engine for the run and finalized before returning; recording is
 // purely observational — the WorkloadResult is byte-identical either way.

@@ -47,7 +47,9 @@ class Topology {
   // Changes the number of servers attached to `sw` (must fit port budget).
   void set_servers_at(NodeId sw, int servers);
 
-  // Maps a global server id (0..num_servers-1) to its ToR switch.
+  // Maps a global server id (0..num_servers-1) to its ToR switch. The
+  // server index is rebuilt by every mutator, so const readers on several
+  // threads never write shared state.
   NodeId server_switch(int server_id) const;
 
   // Global ids of the servers attached to `sw` as [first, first+count).
@@ -58,15 +60,14 @@ class Topology {
   void validate() const;
 
  private:
-  void rebuild_server_index() const;
+  void rebuild_server_index();
 
   std::string name_;
   graph::Graph switches_;
   std::vector<int> ports_;
   std::vector<int> servers_;
-  // Lazy prefix-sum index from server ids to switches.
-  mutable std::vector<int> server_offset_;  // size num_switches()+1
-  mutable bool index_dirty_ = true;
+  // Prefix-sum index from server ids to switches, size num_switches()+1.
+  std::vector<int> server_offset_ = {0};
 };
 
 }  // namespace jf::topo

@@ -1,6 +1,7 @@
 // Tests for the sharded conservative-lookahead packet-sim engine: exact
-// (byte-identical) agreement with the serial Simulator across shard and
-// thread counts, the lookahead bound, and the Link-through-config contract.
+// (byte-identical) agreement between one shard and many across shard and
+// thread counts, the lookahead bound, the Link-through-config contract,
+// and the work counters every shard count records.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,9 +10,9 @@
 #include "common/rng.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
+#include "obs/metrics.h"
 #include "sim/sharded/plan.h"
 #include "sim/sharded/sharded_sim.h"
-#include "sim/simulator.h"
 #include "sim/workload.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
@@ -47,7 +48,7 @@ WorkloadResult run_at(const topo::Topology& topo, WorkloadConfig cfg, int shards
   return run_workload(topo, tm, cfg, rng, &budget);
 }
 
-TEST(ShardedSim, MatchesSerialOnJellyfishTcp) {
+TEST(ShardedSim, OneShardMatchesManyOnJellyfishTcp) {
   Rng rng(42);
   auto topo = topo::build_jellyfish(
       {.num_switches = 20, .ports_per_switch = 8, .network_degree = 5}, rng);
@@ -57,18 +58,18 @@ TEST(ShardedSim, MatchesSerialOnJellyfishTcp) {
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
 
-  const WorkloadResult serial = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 7);
-  EXPECT_GT(serial.mean_flow_throughput, 0.0);
+  const WorkloadResult one_shard = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 7);
+  EXPECT_GT(one_shard.mean_flow_throughput, 0.0);
   for (int shards : {2, 8}) {
     for (int threads : {1, 4}) {
-      expect_identical(serial, run_at(topo, cfg, shards, threads, 7),
+      expect_identical(one_shard, run_at(topo, cfg, shards, threads, 7),
                        "jellyfish shards=" + std::to_string(shards) +
                            " threads=" + std::to_string(threads));
     }
   }
 }
 
-TEST(ShardedSim, MatchesSerialOnFattreeMptcp) {
+TEST(ShardedSim, OneShardMatchesManyOnFattreeMptcp) {
   auto topo = topo::build_fattree(4);
   WorkloadConfig cfg;
   cfg.routing = {routing::Scheme::kEcmp, 8};
@@ -77,15 +78,51 @@ TEST(ShardedSim, MatchesSerialOnFattreeMptcp) {
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
 
-  const WorkloadResult serial = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 11);
-  EXPECT_GT(serial.mean_flow_throughput, 0.0);
+  const WorkloadResult one_shard = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 11);
+  EXPECT_GT(one_shard.mean_flow_throughput, 0.0);
   for (int shards : {2, 8}) {
     for (int threads : {1, 4}) {
-      expect_identical(serial, run_at(topo, cfg, shards, threads, 11),
+      expect_identical(one_shard, run_at(topo, cfg, shards, threads, 11),
                        "fattree shards=" + std::to_string(shards) +
                            " threads=" + std::to_string(threads));
     }
   }
+}
+
+// Every shard count is metered: a one-shard run counts the same events as
+// an eight-shard run, and runs its whole horizon as a single round.
+TEST(ShardedSim, EveryShardCountIsMetered) {
+  Rng rng(42);
+  auto topo = topo::build_jellyfish(
+      {.num_switches = 20, .ports_per_switch = 8, .network_degree = 5}, rng);
+  WorkloadConfig cfg;
+  cfg.routing = {routing::Scheme::kKsp, 4};
+  cfg.warmup_ns = 2 * kMillisecond;
+  cfg.measure_ns = 4 * kMillisecond;
+
+  struct Work {
+    std::int64_t runs, events, rounds;
+  };
+  obs::Counter& runs = obs::counter("sim.runs");
+  obs::Counter& events = obs::counter("sim.events");
+  obs::Counter& rounds = obs::counter("sim.rounds");
+  auto metered = [&](int shards) {
+    const Work before{runs.value(), events.value(), rounds.value()};
+    run_at(topo, cfg, shards, /*threads=*/1, 7);
+    return Work{runs.value() - before.runs, events.value() - before.events,
+                rounds.value() - before.rounds};
+  };
+  obs::set_metrics_enabled(true);
+  const Work one = metered(1);
+  const Work eight = metered(8);
+  obs::set_metrics_enabled(false);
+
+  EXPECT_EQ(one.runs, 1);
+  EXPECT_EQ(eight.runs, 1);
+  EXPECT_GT(one.events, 0);
+  EXPECT_EQ(one.events, eight.events);
+  EXPECT_EQ(one.rounds, 1);
+  EXPECT_GT(eight.rounds, 1);
 }
 
 // Hand-built two-shard dumbbell. Shard 0 owns host A's side (uplink and the
@@ -106,18 +143,18 @@ struct TwoShardNet {
   }
 };
 
-// The serial twin of TwoShardNet: identical link ids and parameters.
-struct SerialTwin {
-  Simulator sim;
+// The one-shard twin of TwoShardNet: identical link ids and parameters.
+struct OneShardTwin {
+  sharded::ShardedSimulator sim;
   int flow;
-  explicit SerialTwin(SimConfig cfg, TimeNs cross_delay) : sim(cfg) {
-    const int up = sim.add_link();
-    const int x = sim.add_link(cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
-    const int down = sim.add_link();
-    const int rup = sim.add_link();
-    const int rx = sim.add_link(cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
-    const int rdown = sim.add_link();
-    flow = sim.add_flow(0, 1, /*mptcp=*/false);
+  explicit OneShardTwin(SimConfig cfg, TimeNs cross_delay) : sim(cfg, 1) {
+    const int up = sim.add_link(0);
+    const int x = sim.add_link(0, cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
+    const int down = sim.add_link(0);
+    const int rup = sim.add_link(0);
+    const int rx = sim.add_link(0, cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
+    const int rdown = sim.add_link(0);
+    flow = sim.add_flow(0, 1, /*mptcp=*/false, /*src_shard=*/0, /*dst_shard=*/0);
     sim.add_subflow(flow, {up, x, down}, {rup, rx, rdown}, 0);
   }
 };
@@ -129,7 +166,7 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
   std::int64_t rounds_short = 0, rounds_long = 0;
   for (const TimeNs cross : {2 * kMicrosecond, 30 * kMicrosecond}) {
     TwoShardNet net(cfg, cross);
-    SerialTwin twin(cfg, cross);
+    OneShardTwin twin(cfg, cross);
     net.sim.set_measure_window(2 * kMillisecond, t_end);
     twin.sim.set_measure_window(2 * kMillisecond, t_end);
     net.sim.run_until(t_end);
@@ -146,7 +183,10 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
     EXPECT_LE(net.sim.rounds(), t_end / net.sim.lookahead_ns() + 1);
 
     // And regardless of round granularity, arrivals were never reordered:
-    // the sharded run reproduces the serial twin bit for bit.
+    // the two-shard run reproduces the one-shard twin bit for bit. The twin
+    // has no cut link, so it runs the whole horizon as one round.
+    EXPECT_EQ(twin.sim.lookahead_ns(), sharded::ShardedSimulator::kMaxTime);
+    EXPECT_EQ(twin.sim.rounds(), 1);
     EXPECT_EQ(net.sim.flow(net.flow).delivered_bytes_total,
               twin.sim.flow(twin.flow).delivered_bytes_total);
     EXPECT_EQ(net.sim.flow(net.flow).delivered_bytes_measured,
@@ -189,12 +229,6 @@ TEST(ShardedSim, LinkParametersAlwaysComeFromConfig) {
   cfg.link_rate_bps = 3e8;
   cfg.link_delay_ns = 1234;
   cfg.queue_capacity_pkts = 9;
-
-  Simulator serial(cfg);
-  const int sl = serial.add_link();
-  EXPECT_EQ(serial.link(sl).rate_bps, cfg.link_rate_bps);
-  EXPECT_EQ(serial.link(sl).delay_ns, cfg.link_delay_ns);
-  EXPECT_EQ(serial.link(sl).queue_capacity, cfg.queue_capacity_pkts);
 
   sharded::ShardedSimulator sharded(cfg, 2);
   const int hl = sharded.add_link(1);

@@ -1,6 +1,9 @@
 // Tests for the Topology container and the fat-tree builder.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "graph/algorithms.h"
 #include "topo/fattree.h"
 #include "topo/topology.h"
@@ -54,6 +57,43 @@ TEST(Topology, AddSwitchAndSetServers) {
   EXPECT_THROW(t.set_servers_at(v, 7), std::invalid_argument);
   // Index stays consistent after mutation.
   EXPECT_EQ(t.server_switch(t.num_servers() - 1), v);
+}
+
+TEST(Topology, EmptyTopologyHasNoServers) {
+  const Topology t;
+  EXPECT_EQ(t.num_servers(), 0);
+  EXPECT_THROW(t.server_switch(0), std::invalid_argument);
+}
+
+// The evaluation engine shares one const Topology across concurrent cells:
+// the server index must be built before any reader runs, never lazily by
+// the first one (ThreadSanitizer flags the lazy rebuild as a data race).
+TEST(Topology, ConcurrentConstReadersAgree) {
+  const Topology t = build_fattree(8);
+  std::vector<int> first_server(static_cast<std::size_t>(t.num_switches()) + 1, 0);
+  for (NodeId sw = 0; sw < t.num_switches(); ++sw) {
+    first_server[static_cast<std::size_t>(sw) + 1] =
+        first_server[static_cast<std::size_t>(sw)] + t.servers_at(sw);
+  }
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kThreads; ++r) {
+    readers.emplace_back([&t, &first_server, &mismatches, r] {
+      for (NodeId sw = 0; sw < t.num_switches(); ++sw) {
+        const auto [first, last] = t.servers_of_switch(sw);
+        if (first != first_server[static_cast<std::size_t>(sw)] ||
+            last != first_server[static_cast<std::size_t>(sw) + 1]) {
+          ++mismatches[static_cast<std::size_t>(r)];
+        }
+        for (int s = first; s < last; ++s) {
+          if (t.server_switch(s) != sw) ++mismatches[static_cast<std::size_t>(r)];
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  for (int r = 0; r < kThreads; ++r) EXPECT_EQ(mismatches[static_cast<std::size_t>(r)], 0);
 }
 
 TEST(Fattree, CountsMatchFormulae) {
