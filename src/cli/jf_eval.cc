@@ -630,13 +630,10 @@ int cmd_list() {
   for (const auto& s : routing::path_provider_schemes()) std::cout << " " << s;
   std::cout << "\nmetrics:\n";
   std::size_t width = 0;
-  for (eval::Metric m : eval::all_metrics()) {
-    width = std::max(width, eval::metric_name(m).size());
-  }
-  for (eval::Metric m : eval::all_metrics()) {
-    const std::string name = eval::metric_name(m);
-    std::cout << "  " << name << std::string(width - name.size() + 2, ' ')
-              << eval::metric_description(m) << "\n";
+  for (const auto& m : eval::metric_table()) width = std::max(width, m.name.size());
+  for (const auto& m : eval::metric_table()) {
+    std::cout << "  " << m.name << std::string(width - m.name.size() + 2, ' ')
+              << m.description << "\n";
   }
   std::cout << "sweep fields:     ";
   for (const auto& f : eval::sweep_fields()) std::cout << " " << f;

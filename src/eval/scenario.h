@@ -20,7 +20,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "expansion/schedule.h"
@@ -111,26 +113,39 @@ enum class Metric {
   kExpansionBisection,  // §6/Fig. 7: normalized bisection per growth step
 };
 
-// True for metrics evaluated once per (topology, routing, seed) cell; false
-// for metrics evaluated once per (topology, seed) regardless of routing.
-bool metric_needs_routing(Metric m);
+// MetricInfo::needs flags: the per-cell inputs a metric's kernel reads.
+enum MetricNeed : unsigned {
+  kNeedsRouting = 1u << 0,    // one cell per (topology, routing, seed), else per (topology, seed)
+  kNeedsBuild = 1u << 1,      // the built topology (without it: computed from the spec alone)
+  kNeedsPaths = 1u << 2,      // the routing scheme's path sets
+  kNeedsSim = 1u << 3,        // one packet-sim run per traffic sample
+  kNeedsTelemetry = 1u << 4,  // ... with data-plane telemetry recorded
+  kNeedsGrowth = 1u << 5,     // the cell's plan of Scenario::growth
+  kNeedsGrowthBisection = 1u << 6,  // ... with every step's bisection scored
+};
 
-// False for design-space metrics (kMinPorts, kCapacity) computed from the
-// TopologySpec alone; cells skip building the topology when every requested
-// routing-free metric is spec-only.
-bool metric_needs_build(Metric m);
+struct MetricCell;  // eval/metrics.cc: one cell's lazily built inputs + sample sink
 
-// Metric enum -> stable name prefix used in Sample::metric.
-std::string metric_name(Metric m);
+// One row of the metric registry (eval/metrics.cc), the single place a
+// metric is spelled: its report name, its jf_eval list description, what it
+// reads, and the kernel that emits its samples.
+struct MetricInfo {
+  Metric metric;                 // the row's index in metric_table()
+  std::string_view name;         // stable name (scenario files, Sample::metric prefix)
+  std::string_view description;  // one line, for jf_eval list and docs
+  unsigned needs;                // MetricNeed flags
+  void (*kernel)(MetricCell&);
 
-// One-line human description (jf_eval list, docs).
-std::string metric_description(Metric m);
+  bool has(unsigned flags) const { return (needs & flags) == flags; }
+};
 
-// Inverse of metric_name; throws std::invalid_argument for unknown names.
+// Every metric, in enum order.
+std::span<const MetricInfo> metric_table();
+const MetricInfo& metric_info(Metric m);
+
+// Inverse of metric_info(m).name; throws std::invalid_argument for unknown
+// names.
 Metric metric_from_name(const std::string& name);
-
-// Every Metric, in enum order (for CLIs and serialization).
-const std::vector<Metric>& all_metrics();
 
 struct Scenario {
   std::string name = "scenario";

@@ -1,9 +1,16 @@
 #include "eval/serialize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <variant>
+
+#include "common/check.h"
 
 // gcc 12 emits spurious -Warray-bounds through the inlined realloc path of
 // vector<pair<string, Value>>::emplace_back (GCC PR 104475); every
@@ -55,29 +62,35 @@ class ObjectReader {
     }
   }
 
-  // Typed readers; absent keys keep the caller's default. Kind mismatches
-  // are rethrown with the field's context path ("scenario.topologies[0]
-  // .switches: json: expected number, got string").
-  void read(std::string_view key, std::string& out) {
-    if (const Value* v = get(key)) out = located(key, [&] { return v->as_string(); });
+  // Typed readers; an absent key keeps the caller's default and returns
+  // false. Kind mismatches are rethrown with the field's context path
+  // ("scenario.topologies[0].switches: json: expected number, got string").
+  bool read(std::string_view key, std::string& out) {
+    const Value* v = get(key);
+    if (v != nullptr) out = located(key, [&] { return v->as_string(); });
+    return v != nullptr;
   }
-  void read(std::string_view key, int& out) {
-    if (const Value* v = get(key)) {
-      out = located(key, [&] {
-        const std::int64_t x = v->as_int();
-        if (x < std::numeric_limits<int>::min() || x > std::numeric_limits<int>::max()) {
-          throw std::runtime_error("json: integer " + std::to_string(x) +
-                                   " out of int range");
-        }
-        return static_cast<int>(x);
-      });
-    }
+  bool read(std::string_view key, int& out) {
+    const Value* v = get(key);
+    if (v == nullptr) return false;
+    out = located(key, [&] {
+      const std::int64_t x = v->as_int();
+      if (x < std::numeric_limits<int>::min() || x > std::numeric_limits<int>::max()) {
+        throw std::runtime_error("json: integer " + std::to_string(x) + " out of int range");
+      }
+      return static_cast<int>(x);
+    });
+    return true;
   }
-  void read(std::string_view key, double& out) {
-    if (const Value* v = get(key)) out = located(key, [&] { return v->as_number(); });
+  bool read(std::string_view key, double& out) {
+    const Value* v = get(key);
+    if (v != nullptr) out = located(key, [&] { return v->as_number(); });
+    return v != nullptr;
   }
-  void read(std::string_view key, std::int64_t& out) {
-    if (const Value* v = get(key)) out = located(key, [&] { return v->as_int(); });
+  bool read(std::string_view key, std::int64_t& out) {
+    const Value* v = get(key);
+    if (v != nullptr) out = located(key, [&] { return v->as_int(); });
+    return v != nullptr;
   }
 
  private:
@@ -106,322 +119,513 @@ auto with_ctx(const std::string& ctx, Fn&& fn) -> decltype(fn()) {
   }
 }
 
-// --- enum <-> string ---
+// --- the scenario-field table ---
+//
+// Every key of every scenario struct is one Field row: its JSON key, value
+// kind and member, plus — for sweepable fields — its place in
+// sweep_fields() and its sweep bounds. The rows drive the canonical writer,
+// the strict loader, sweep_fields() and apply_sweep_value(). The writer
+// emits keys in row order and the result store's cell digests hash those
+// bytes, so reordering or renaming a row orphans every stored cell.
 
-std::string traffic_kind_name(TrafficSpec::Kind k) {
-  switch (k) {
-    case TrafficSpec::Kind::kPermutation: return "permutation";
-    case TrafficSpec::Kind::kAllToAll: return "all_to_all";
-    case TrafficSpec::Kind::kHotspot: return "hotspot";
+using expansion::GrowthSchedule;
+using expansion::GrowthStep;
+using expansion::InitialBuild;
+
+// What a field accepts. Only kFraction and kEnum are range-checked on load
+// (a 0 count in a file means "unused by this family"); swept values are
+// checked against every kind.
+enum class Kind {
+  kCount,     // integer; swept values >= 1
+  kInt,       // integer (int or int64 member); swept values >= Sweep::min
+  kReal,      // number; swept values >= Sweep::min
+  kFraction,  // number in [0, 1]
+  kString,
+  kEnum,      // one of Field::choices; enum members hold the spelling's index
+  kObject,    // nested object or array, through the row's Nested functions
+};
+
+struct Choices {
+  std::string_view what;  // "unknown <what> '<name>'"
+  std::span<const std::string_view> names;
+  bool empty_ok = false;  // string members: "" is accepted too
+};
+
+template <class S>
+struct Nested {
+  Value (*write)(const S&);
+  void (*read)(S&, const Value&, const std::string& ctx);
+};
+
+template <class S>
+using Member = std::variant<int S::*, std::int64_t S::*, double S::*, std::string S::*,
+                            TrafficSpec::Kind S::*, sim::Transport S::*,
+                            layout::PlacementStyle S::*, Nested<S>>;
+
+// Where a swept value lands beyond the row's own struct instances.
+enum class Reach {
+  kRow,
+  kGenerator,  // a growth generator field: refused over explicit steps, which ignore it
+  kAllSteps,   // also the same-keyed field of every explicit growth step
+};
+
+struct Sweep {
+  int order = 0;  // 1-based position in sweep_fields(); 0 = not sweepable
+  double min = -std::numeric_limits<double>::infinity();  // kInt/kReal lower bound
+  Reach reach = Reach::kRow;
+};
+
+template <class S>
+struct Field {
+  std::string_view key;
+  Kind kind;
+  Member<S> member;
+  Sweep sweep = {};
+  const Choices* choices = nullptr;  // kEnum
+};
+
+// Schema<S>::rows lists S's fields in canonical order. The sweepable
+// structs also name their sweep path prefix and the instances a swept
+// value sets (targets() throws when there are none).
+template <class S>
+struct Schema;
+
+// --- table-driven JSON ---
+
+std::size_t choice_index(const Choices& c, const std::string& name, const std::string& ctx) {
+  for (std::size_t i = 0; i < c.names.size(); ++i) {
+    if (c.names[i] == name) return i;
   }
-  return "?";
+  if (c.empty_ok && name.empty()) return c.names.size();
+  schema_error(ctx, "unknown " + std::string(c.what) + " '" + name + "'");
 }
 
-TrafficSpec::Kind traffic_kind_from(const std::string& name, const std::string& ctx) {
-  if (name == "permutation") return TrafficSpec::Kind::kPermutation;
-  if (name == "all_to_all") return TrafficSpec::Kind::kAllToAll;
-  if (name == "hotspot") return TrafficSpec::Kind::kHotspot;
-  schema_error(ctx, "unknown traffic kind '" + name + "'");
-}
-
-std::string transport_name(sim::Transport t) {
-  return t == sim::Transport::kMptcp ? "mptcp" : "tcp";
-}
-
-sim::Transport transport_from(const std::string& name, const std::string& ctx) {
-  if (name == "tcp") return sim::Transport::kTcp;
-  if (name == "mptcp") return sim::Transport::kMptcp;
-  schema_error(ctx, "unknown transport '" + name + "'");
-}
-
-std::string placement_name(layout::PlacementStyle s) {
-  return s == layout::PlacementStyle::kToRInRack ? "tor-in-rack" : "switch-cluster";
-}
-
-layout::PlacementStyle placement_from(const std::string& name, const std::string& ctx) {
-  if (name == "tor-in-rack") return layout::PlacementStyle::kToRInRack;
-  if (name == "switch-cluster") return layout::PlacementStyle::kCentralCluster;
-  schema_error(ctx, "unknown cabling placement '" + name + "'");
-}
-
-// --- component writers ---
-
-Value topology_to_json(const TopologySpec& t) {
+template <class S>
+Value to_json(const S& x) {
   Object o;
-  o.emplace_back("family", t.family);
-  o.emplace_back("label", t.label);
-  o.emplace_back("switches", t.switches);
-  o.emplace_back("ports", t.ports);
-  o.emplace_back("servers", t.servers);
-  o.emplace_back("fattree_k", t.fattree_k);
-  o.emplace_back("degree", t.degree);
-  o.emplace_back("servers_per_switch", t.servers_per_switch);
-  o.emplace_back("containers", t.containers);
-  o.emplace_back("switches_per_container", t.switches_per_container);
-  o.emplace_back("network_degree", t.network_degree);
-  o.emplace_back("local_fraction", t.local_fraction);
-  o.emplace_back("grow_from", t.grow_from);
-  o.emplace_back("grow_step", t.grow_step);
-  o.emplace_back("fail_links", t.fail_links);
-  o.emplace_back("growth_policy", t.growth_policy);
-  return Value(std::move(o));
-}
-
-TopologySpec topology_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  TopologySpec t;
-  r.read("family", t.family);
-  r.read("label", t.label);
-  r.read("switches", t.switches);
-  r.read("ports", t.ports);
-  r.read("servers", t.servers);
-  r.read("fattree_k", t.fattree_k);
-  r.read("degree", t.degree);
-  r.read("servers_per_switch", t.servers_per_switch);
-  r.read("containers", t.containers);
-  r.read("switches_per_container", t.switches_per_container);
-  r.read("network_degree", t.network_degree);
-  r.read("local_fraction", t.local_fraction);
-  r.read("grow_from", t.grow_from);
-  r.read("grow_step", t.grow_step);
-  r.read("fail_links", t.fail_links);
-  if (t.fail_links < 0.0 || t.fail_links > 1.0) {
-    schema_error(ctx + ".fail_links", "must be in [0, 1]");
+  for (const Field<S>& f : Schema<S>::rows) {
+    std::visit(
+        [&](auto m) {
+          if constexpr (std::is_same_v<decltype(m), Nested<S>>) {
+            o.emplace_back(f.key, m.write(x));
+          } else if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(x.*m)>>) {
+            o.emplace_back(f.key, std::string(f.choices->names[static_cast<std::size_t>(x.*m)]));
+          } else {
+            o.emplace_back(f.key, x.*m);
+          }
+        },
+        f.member);
   }
-  r.read("growth_policy", t.growth_policy);
-  if (!t.growth_policy.empty() && t.growth_policy != "jellyfish" &&
-      t.growth_policy != "clos") {
-    schema_error(ctx + ".growth_policy",
-                 "unknown growth policy '" + t.growth_policy + "'");
+  return Value(std::move(o));
+}
+
+template <class T>
+Value to_json(const std::vector<T>& xs) {
+  Array out;
+  for (const T& x : xs) out.push_back(to_json(x));
+  return Value(std::move(out));
+}
+
+Value to_json(const std::vector<Metric>& metrics) {
+  Array out;
+  for (Metric m : metrics) out.emplace_back(std::string(metric_info(m).name));
+  return Value(std::move(out));
+}
+
+Value to_json(const std::vector<std::uint64_t>& seeds) {
+  Array out;
+  for (std::uint64_t seed : seeds) out.emplace_back(seed);
+  return Value(std::move(out));
+}
+
+// Reads every present row of S; the caller runs done().
+template <class S>
+void read_fields(ObjectReader& r, S& x) {
+  for (const Field<S>& f : Schema<S>::rows) {
+    const auto field_ctx = [&] { return r.ctx() + "." + std::string(f.key); };
+    std::visit(
+        [&](auto m) {
+          if constexpr (std::is_same_v<decltype(m), Nested<S>>) {
+            if (const Value* v = r.get(f.key)) m.read(x, *v, field_ctx());
+          } else {
+            using V = std::remove_cvref_t<decltype(x.*m)>;
+            if constexpr (std::is_enum_v<V>) {
+              std::string name;
+              if (r.read(f.key, name)) {
+                x.*m = static_cast<V>(choice_index(*f.choices, name, field_ctx()));
+              }
+            } else if (r.read(f.key, x.*m)) {
+              if constexpr (std::is_same_v<V, std::string>) {
+                if (f.choices != nullptr) choice_index(*f.choices, x.*m, field_ctx());
+              } else if (f.kind == Kind::kFraction && (x.*m < 0.0 || x.*m > 1.0)) {
+                schema_error(field_ctx(), "must be in [0, 1]");
+              }
+            }
+          }
+        },
+        f.member);
   }
-  r.done();
-  return t;
 }
 
-Value routing_to_json(const routing::RoutingSpec& rs) {
-  Object o;
-  o.emplace_back("scheme", rs.scheme);
-  o.emplace_back("width", rs.width);
-  return Value(std::move(o));
-}
+template <class S>
+void validate(const S&, const std::string&) {}
 
-routing::RoutingSpec routing_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  routing::RoutingSpec rs;
-  r.read("scheme", rs.scheme);
-  r.read("width", rs.width);
-  r.done();
-  return rs;
-}
-
-Value traffic_to_json(const TrafficSpec& t) {
-  Object o;
-  o.emplace_back("kind", traffic_kind_name(t.kind));
-  o.emplace_back("demand", t.demand);
-  o.emplace_back("num_hot", t.num_hot);
-  o.emplace_back("fan_in", t.fan_in);
-  return Value(std::move(o));
-}
-
-TrafficSpec traffic_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  TrafficSpec t;
-  if (const Value* kind = r.get("kind")) {
-    t.kind = traffic_kind_from(kind->as_string(), ctx + ".kind");
-  }
-  r.read("demand", t.demand);
-  r.read("num_hot", t.num_hot);
-  r.read("fan_in", t.fan_in);
-  r.done();
-  return t;
-}
-
-Value mcf_to_json(const flow::McfOptions& m) {
-  Object o;
-  o.emplace_back("epsilon", m.epsilon);
-  o.emplace_back("max_phases", m.max_phases);
-  o.emplace_back("convergence_tol", m.convergence_tol);
-  o.emplace_back("convergence_window", m.convergence_window);
-  o.emplace_back("decide_threshold", m.decide_threshold);
-  o.emplace_back("link_capacity", m.link_capacity);
-  return Value(std::move(o));
-}
-
-flow::McfOptions mcf_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  flow::McfOptions m;
-  r.read("epsilon", m.epsilon);
-  r.read("max_phases", m.max_phases);
-  r.read("convergence_tol", m.convergence_tol);
-  r.read("convergence_window", m.convergence_window);
-  r.read("decide_threshold", m.decide_threshold);
-  r.read("link_capacity", m.link_capacity);
-  r.done();
-  return m;
-}
-
-Value sim_net_to_json(const sim::SimConfig& c) {
-  Object o;
-  o.emplace_back("link_rate_bps", c.link_rate_bps);
-  o.emplace_back("link_delay_ns", c.link_delay_ns);
-  o.emplace_back("queue_capacity_pkts", c.queue_capacity_pkts);
-  o.emplace_back("payload_bytes", c.payload_bytes);
-  o.emplace_back("ack_bytes", c.ack_bytes);
-  o.emplace_back("initial_cwnd_pkts", c.initial_cwnd_pkts);
-  o.emplace_back("min_rto_ns", c.min_rto_ns);
-  o.emplace_back("initial_rto_ns", c.initial_rto_ns);
-  o.emplace_back("max_rto_ns", c.max_rto_ns);
-  o.emplace_back("loss_feedback_floor_ns", c.loss_feedback_floor_ns);
-  return Value(std::move(o));
-}
-
-sim::SimConfig sim_net_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  sim::SimConfig c;
-  r.read("link_rate_bps", c.link_rate_bps);
-  r.read("link_delay_ns", c.link_delay_ns);
-  r.read("queue_capacity_pkts", c.queue_capacity_pkts);
-  r.read("payload_bytes", c.payload_bytes);
-  r.read("ack_bytes", c.ack_bytes);
-  r.read("initial_cwnd_pkts", c.initial_cwnd_pkts);
-  r.read("min_rto_ns", c.min_rto_ns);
-  r.read("initial_rto_ns", c.initial_rto_ns);
-  r.read("max_rto_ns", c.max_rto_ns);
-  r.read("loss_feedback_floor_ns", c.loss_feedback_floor_ns);
-  r.done();
-  return c;
-}
-
-// WorkloadConfig::routing is deliberately not serialized: the engine routes
-// each cell through its RoutingSpec's provider and ignores that field.
-Value sim_to_json(const sim::WorkloadConfig& w) {
-  Object o;
-  o.emplace_back("transport", transport_name(w.transport));
-  o.emplace_back("parallel_connections", w.parallel_connections);
-  o.emplace_back("subflows", w.subflows);
-  o.emplace_back("shards", w.shards);
-  o.emplace_back("warmup_ns", w.warmup_ns);
-  o.emplace_back("measure_ns", w.measure_ns);
-  o.emplace_back("start_jitter_ns", w.start_jitter_ns);
-  o.emplace_back("flow_size_bytes", w.flow_size_bytes);
-  o.emplace_back("telemetry_epoch_ns", w.telemetry_epoch_ns);
-  o.emplace_back("net", sim_net_to_json(w.sim));
-  return Value(std::move(o));
-}
-
-sim::WorkloadConfig sim_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  sim::WorkloadConfig w;
-  if (const Value* t = r.get("transport")) {
-    w.transport = transport_from(t->as_string(), ctx + ".transport");
-  }
-  r.read("parallel_connections", w.parallel_connections);
-  r.read("subflows", w.subflows);
-  r.read("shards", w.shards);
-  r.read("warmup_ns", w.warmup_ns);
-  r.read("measure_ns", w.measure_ns);
-  r.read("start_jitter_ns", w.start_jitter_ns);
-  r.read("flow_size_bytes", w.flow_size_bytes);
-  r.read("telemetry_epoch_ns", w.telemetry_epoch_ns);
-  if (const Value* net = r.get("net")) w.sim = sim_net_from_json(*net, ctx + ".net");
-  r.done();
-  return w;
-}
-
-Value capacity_to_json(const flow::CapacitySearchOptions& c) {
-  Object o;
-  o.emplace_back("matrices_per_check", c.matrices_per_check);
-  o.emplace_back("threshold", c.threshold);
-  o.emplace_back("verify_matrices", c.verify_matrices);
-  return Value(std::move(o));
-}
-
-flow::CapacitySearchOptions capacity_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  flow::CapacitySearchOptions c;
-  r.read("matrices_per_check", c.matrices_per_check);
-  r.read("threshold", c.threshold);
-  r.read("verify_matrices", c.verify_matrices);
-  r.done();
-  return c;
-}
-
-// --- growth schedules ---
-
-Value growth_step_to_json(const expansion::GrowthStep& s) {
-  Object o;
-  o.emplace_back("add_switches", s.add_switches);
-  o.emplace_back("min_servers", s.min_servers);
-  o.emplace_back("budget", s.budget);
-  o.emplace_back("rewire_limit", s.rewire_limit);
-  return Value(std::move(o));
-}
-
-expansion::GrowthStep growth_step_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  expansion::GrowthStep s;
-  r.read("add_switches", s.add_switches);
-  r.read("min_servers", s.min_servers);
-  r.read("budget", s.budget);
-  r.read("rewire_limit", s.rewire_limit);
-  r.done();
-  return s;
-}
-
-Value growth_to_json(const expansion::GrowthSchedule& g) {
-  Object o;
-  o.emplace_back("policy", g.policy);
-  Object initial;
-  initial.emplace_back("switches", g.initial.switches);
-  initial.emplace_back("ports", g.initial.ports_per_switch);
-  initial.emplace_back("servers", g.initial.servers);
-  o.emplace_back("initial", Value(std::move(initial)));
-  o.emplace_back("network_degree", g.network_degree);
-  Array steps;
-  for (const auto& s : g.steps) steps.push_back(growth_step_to_json(s));
-  o.emplace_back("steps", Value(std::move(steps)));
-  o.emplace_back("target_switches", g.target_switches);
-  o.emplace_back("step_switches", g.step_switches);
-  o.emplace_back("rewire_limit", g.rewire_limit);
-  return Value(std::move(o));
-}
-
-expansion::GrowthSchedule growth_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  expansion::GrowthSchedule g;
-  r.read("policy", g.policy);
-  if (g.policy != "jellyfish" && g.policy != "clos") {
-    schema_error(ctx + ".policy", "unknown growth policy '" + g.policy + "'");
-  }
-  if (const Value* initial = r.get("initial")) {
-    ObjectReader ir(*initial, ctx + ".initial");
-    ir.read("switches", g.initial.switches);
-    ir.read("ports", g.initial.ports_per_switch);
-    ir.read("servers", g.initial.servers);
-    ir.done();
-  }
-  r.read("network_degree", g.network_degree);
-  if (const Value* steps = r.get("steps")) {
-    const Array& arr =
-        with_ctx(ctx + ".steps", [&]() -> const Array& { return steps->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      g.steps.push_back(
-          growth_step_from_json(arr[i], ctx + ".steps[" + std::to_string(i) + "]"));
-    }
-  }
-  r.read("target_switches", g.target_switches);
-  r.read("step_switches", g.step_switches);
-  r.read("rewire_limit", g.rewire_limit);
-  r.done();
-  // Structural validation (generator consistency, field ranges) happens in
-  // resolve_growth_steps; run it here so a bad schedule fails at load time
-  // with the file's context path instead of mid-run.
+// Structural validation (generator consistency, field ranges) happens in
+// resolve_growth_steps; run it here so a bad schedule fails at load time
+// with the file's context path instead of mid-run.
+void validate(const GrowthSchedule& g, const std::string& ctx) {
   try {
     expansion::resolve_growth_steps(g);
   } catch (const std::invalid_argument& e) {
     schema_error(ctx, e.what());
   }
-  return g;
+}
+
+template <class S>
+void from_json(const Value& v, const std::string& ctx, S& out) {
+  ObjectReader r(v, ctx);
+  read_fields(r, out);
+  r.done();
+  validate(out, ctx);
+}
+
+template <class T>
+void from_json(const Value& v, const std::string& ctx, std::vector<T>& out) {
+  const Array& arr = with_ctx(ctx, [&]() -> const Array& { return v.as_array(); });
+  out.assign(arr.size(), T{});
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    from_json(arr[i], ctx + "[" + std::to_string(i) + "]", out[i]);
+  }
+}
+
+void from_json(const Value& v, const std::string& ctx, std::vector<Metric>& out) {
+  out.clear();
+  with_ctx(ctx, [&] {
+    for (const auto& m : v.as_array()) {
+      try {
+        out.push_back(metric_from_name(m.as_string()));
+      } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(e.what());
+      }
+    }
+  });
+  if (out.empty()) schema_error(ctx, "must be non-empty");
+}
+
+void from_json(const Value& v, const std::string& ctx, std::vector<std::uint64_t>& out) {
+  out.clear();
+  with_ctx(ctx, [&] {
+    for (const auto& seed : v.as_array()) out.push_back(seed.as_uint());
+  });
+  if (out.empty()) schema_error(ctx, "must be non-empty");
+}
+
+// The Nested row for member M (an object, or an array of them).
+template <class S, class T>
+S struct_of(T S::*);
+template <auto M>
+constexpr auto nested() {
+  using S = decltype(struct_of(M));
+  return Nested<S>{[](const S& s) { return to_json(s.*M); },
+                   [](S& s, const Value& v, const std::string& ctx) { from_json(v, ctx, s.*M); }};
+}
+
+template <class T>
+std::vector<T*> all_of(std::vector<T>& xs) {
+  std::vector<T*> out;
+  for (T& x : xs) out.push_back(&x);
+  return out;
+}
+
+constexpr std::string_view kTrafficKindNames[] = {"permutation", "all_to_all", "hotspot"};
+constexpr Choices kTrafficKinds{"traffic kind", kTrafficKindNames};
+constexpr std::string_view kTransportNames[] = {"tcp", "mptcp"};
+constexpr Choices kTransports{"transport", kTransportNames};
+constexpr std::string_view kPlacementNames[] = {"tor-in-rack", "switch-cluster"};
+constexpr Choices kPlacements{"cabling placement", kPlacementNames};
+constexpr std::string_view kPolicyNames[] = {"jellyfish", "clos"};
+constexpr Choices kPolicies{"growth policy", kPolicyNames};
+// A topology row's policy override; empty keeps the schedule's policy.
+constexpr Choices kPolicyOverrides{"growth policy", kPolicyNames, /*empty_ok=*/true};
+
+template <>
+struct Schema<TopologySpec> {
+  using T = TopologySpec;
+  static constexpr std::string_view prefix = "topology";
+  static constexpr Field<T> rows[] = {
+      {"family", Kind::kString, &T::family},
+      {"label", Kind::kString, &T::label},
+      {"switches", Kind::kCount, &T::switches, {1}},
+      {"ports", Kind::kCount, &T::ports, {2}},
+      {"servers", Kind::kCount, &T::servers, {3}},
+      {"fattree_k", Kind::kCount, &T::fattree_k, {4}},
+      {"degree", Kind::kCount, &T::degree, {5}},
+      {"servers_per_switch", Kind::kCount, &T::servers_per_switch, {6}},
+      {"containers", Kind::kCount, &T::containers, {7}},
+      {"switches_per_container", Kind::kCount, &T::switches_per_container, {8}},
+      {"network_degree", Kind::kCount, &T::network_degree, {9}},
+      {"local_fraction", Kind::kReal, &T::local_fraction, {10}},
+      {"grow_from", Kind::kCount, &T::grow_from, {11}},
+      {"grow_step", Kind::kCount, &T::grow_step, {12}},
+      {"fail_links", Kind::kFraction, &T::fail_links, {13}},
+      {"growth_policy", Kind::kEnum, &T::growth_policy, {}, &kPolicyOverrides},
+  };
+  static std::vector<T*> targets(Scenario& s, const AxisEntry& e) {
+    std::vector<T*> out;
+    for (T& t : s.topologies) {
+      if (topology_matches(t, e.only)) out.push_back(&t);
+    }
+    check(!out.empty(),
+          "sweep field '" + e.field + "': filter '" + e.only + "' matches no topology");
+    return out;
+  }
+};
+
+template <>
+struct Schema<routing::RoutingSpec> {
+  using T = routing::RoutingSpec;
+  static constexpr std::string_view prefix = "routing";
+  static constexpr Field<T> rows[] = {
+      {"scheme", Kind::kString, &T::scheme},
+      {"width", Kind::kCount, &T::width, {14}},
+  };
+  static std::vector<T*> targets(Scenario& s, const AxisEntry& e) {
+    check(!s.routings.empty(), "sweep field '" + e.field + "': scenario has no routings");
+    return all_of(s.routings);
+  }
+};
+
+template <>
+struct Schema<TrafficSpec> {
+  using T = TrafficSpec;
+  static constexpr std::string_view prefix = "traffic";
+  static constexpr Field<T> rows[] = {
+      {"kind", Kind::kEnum, &T::kind, {}, &kTrafficKinds},
+      {"demand", Kind::kReal, &T::demand, {15}},
+      {"num_hot", Kind::kCount, &T::num_hot, {16}},
+      {"fan_in", Kind::kCount, &T::fan_in, {17}},
+  };
+  static std::vector<T*> targets(Scenario& s, const AxisEntry&) { return {&s.traffic}; }
+};
+
+template <>
+struct Schema<flow::McfOptions> {
+  using T = flow::McfOptions;
+  static constexpr Field<T> rows[] = {
+      {"epsilon", Kind::kReal, &T::epsilon},
+      {"max_phases", Kind::kInt, &T::max_phases},
+      {"convergence_tol", Kind::kReal, &T::convergence_tol},
+      {"convergence_window", Kind::kInt, &T::convergence_window},
+      {"decide_threshold", Kind::kReal, &T::decide_threshold},
+      {"link_capacity", Kind::kReal, &T::link_capacity},
+  };
+};
+
+template <>
+struct Schema<sim::SimConfig> {
+  using T = sim::SimConfig;
+  static constexpr Field<T> rows[] = {
+      {"link_rate_bps", Kind::kReal, &T::link_rate_bps},
+      {"link_delay_ns", Kind::kInt, &T::link_delay_ns},
+      {"queue_capacity_pkts", Kind::kInt, &T::queue_capacity_pkts},
+      {"payload_bytes", Kind::kInt, &T::payload_bytes},
+      {"ack_bytes", Kind::kInt, &T::ack_bytes},
+      {"initial_cwnd_pkts", Kind::kReal, &T::initial_cwnd_pkts},
+      {"min_rto_ns", Kind::kInt, &T::min_rto_ns},
+      {"initial_rto_ns", Kind::kInt, &T::initial_rto_ns},
+      {"max_rto_ns", Kind::kInt, &T::max_rto_ns},
+      {"loss_feedback_floor_ns", Kind::kInt, &T::loss_feedback_floor_ns},
+  };
+};
+
+// WorkloadConfig::routing has no row: the engine routes each cell through
+// its RoutingSpec's provider and ignores that field.
+template <>
+struct Schema<sim::WorkloadConfig> {
+  using T = sim::WorkloadConfig;
+  static constexpr std::string_view prefix = "sim";
+  static constexpr Field<T> rows[] = {
+      {"transport", Kind::kEnum, &T::transport, {}, &kTransports},
+      {"parallel_connections", Kind::kCount, &T::parallel_connections, {19}},
+      {"subflows", Kind::kCount, &T::subflows, {20}},
+      {"shards", Kind::kCount, &T::shards, {21}},
+      {"warmup_ns", Kind::kInt, &T::warmup_ns},
+      {"measure_ns", Kind::kInt, &T::measure_ns},
+      {"start_jitter_ns", Kind::kInt, &T::start_jitter_ns},
+      {"flow_size_bytes", Kind::kInt, &T::flow_size_bytes},
+      {"telemetry_epoch_ns", Kind::kInt, &T::telemetry_epoch_ns},
+      {"net", Kind::kObject, nested<&T::sim>()},
+  };
+  static std::vector<T*> targets(Scenario& s, const AxisEntry&) { return {&s.sim}; }
+};
+
+template <>
+struct Schema<flow::CapacitySearchOptions> {
+  using T = flow::CapacitySearchOptions;
+  static constexpr Field<T> rows[] = {
+      {"matrices_per_check", Kind::kInt, &T::matrices_per_check},
+      {"threshold", Kind::kReal, &T::threshold},
+      {"verify_matrices", Kind::kInt, &T::verify_matrices},
+  };
+};
+
+template <>
+struct Schema<InitialBuild> {
+  using T = InitialBuild;
+  static constexpr Field<T> rows[] = {
+      {"switches", Kind::kInt, &T::switches},
+      {"ports", Kind::kInt, &T::ports_per_switch},
+      {"servers", Kind::kInt, &T::servers},
+  };
+};
+
+template <>
+struct Schema<GrowthStep> {
+  using T = GrowthStep;
+  static constexpr std::string_view prefix = "growth";
+  static constexpr Field<T> rows[] = {
+      {"add_switches", Kind::kInt, &T::add_switches},
+      {"min_servers", Kind::kInt, &T::min_servers},
+      {"budget", Kind::kReal, &T::budget, {.order = 25, .min = 0.0}},
+      {"rewire_limit", Kind::kInt, &T::rewire_limit},
+  };
+  static std::vector<T*> targets(Scenario& s, const AxisEntry& e) {
+    check(!s.growth.steps.empty(),
+          "sweep field '" + e.field + "': schedule has no explicit steps");
+    return all_of(s.growth.steps);
+  }
+};
+
+template <>
+struct Schema<GrowthSchedule> {
+  using T = GrowthSchedule;
+  static constexpr std::string_view prefix = "growth";
+  static constexpr Field<T> rows[] = {
+      {"policy", Kind::kEnum, &T::policy, {}, &kPolicies},
+      {"initial", Kind::kObject, nested<&T::initial>()},
+      {"network_degree", Kind::kInt, &T::network_degree},
+      {"steps", Kind::kObject, nested<&T::steps>()},
+      {"target_switches", Kind::kCount, &T::target_switches,
+       {.order = 23, .reach = Reach::kGenerator}},
+      {"step_switches", Kind::kCount, &T::step_switches,
+       {.order = 22, .reach = Reach::kGenerator}},
+      // -1 means "no cap", so this is the one integer sweep field that may
+      // go below 1.
+      {"rewire_limit", Kind::kInt, &T::rewire_limit,
+       {.order = 24, .min = -1.0, .reach = Reach::kAllSteps}},
+  };
+  static std::vector<T*> targets(Scenario& s, const AxisEntry&) { return {&s.growth}; }
+};
+
+template <>
+struct Schema<Scenario> {
+  using T = Scenario;
+  static constexpr std::string_view prefix = "";
+  static constexpr Field<T> rows[] = {
+      {"name", Kind::kString, &T::name},
+      {"topologies", Kind::kObject, nested<&T::topologies>()},
+      {"routings", Kind::kObject, nested<&T::routings>()},
+      {"traffic", Kind::kObject, nested<&T::traffic>()},
+      {"metrics", Kind::kObject, nested<&T::metrics>()},
+      {"seeds", Kind::kObject, nested<&T::seeds>()},
+      {"samples_per_seed", Kind::kCount, &T::samples_per_seed, {18}},
+      {"mcf", Kind::kObject, nested<&T::mcf>()},
+      {"sim", Kind::kObject, nested<&T::sim>()},
+      {"capacity", Kind::kObject, nested<&T::capacity>()},
+      {"growth", Kind::kObject, nested<&T::growth>()},
+      {"cabling_placement", Kind::kEnum, &T::cabling_placement, {}, &kPlacements},
+  };
+  static std::vector<T*> targets(Scenario& s, const AxisEntry&) { return {&s}; }
+};
+
+// The structs with sweepable rows.
+template <class... S>
+struct Sections {};
+using SweepSections = Sections<TopologySpec, routing::RoutingSpec, TrafficSpec, Scenario,
+                               sim::WorkloadConfig, GrowthSchedule, GrowthStep>;
+
+// --- table-driven sweeps ---
+
+template <class S>
+std::string sweep_path(const Field<S>& f) {
+  if (Schema<S>::prefix.empty()) return std::string(f.key);
+  return std::string(Schema<S>::prefix) + "." + std::string(f.key);
+}
+
+template <class S>
+const Field<S>& field_named(std::string_view key) {
+  for (const Field<S>& f : Schema<S>::rows) {
+    if (f.key == key) return f;
+  }
+  ensure(false, "no field '" + std::string(key) + "'");
+  return Schema<S>::rows[0];
+}
+
+// Rejects a swept value outside the row's kind and bounds.
+void check_sweep_value(const std::string& field, Kind kind, double min, double v) {
+  const std::string needs = "sweep field '" + field + "' needs ";
+  if (kind == Kind::kCount || kind == Kind::kInt) {
+    check(v == std::floor(v) && std::abs(v) < 2e9, needs + "an integer value");
+  }
+  if (kind == Kind::kCount) {
+    check(v >= 1.0, needs + "a positive value, got " + json::number_to_string(v));
+  } else if (kind == Kind::kFraction) {
+    check(v >= 0.0 && v <= 1.0, needs + "a value in [0, 1], got " + json::number_to_string(v));
+  } else if (v < min) {
+    check(false, needs + "a value >= " + json::number_to_string(min));
+  }
+}
+
+template <class S>
+void set_number(S& x, const Field<S>& f, double v) {
+  std::visit(
+      [&](auto m) {
+        if constexpr (!std::is_same_v<decltype(m), Nested<S>>) {
+          using V = std::remove_cvref_t<decltype(x.*m)>;
+          if constexpr (std::is_arithmetic_v<V>) x.*m = static_cast<V>(v);
+        }
+      },
+      f.member);
+}
+
+// Applies the entry if S has its row; false when it does not.
+template <class S>
+bool apply_rows(Scenario& s, const AxisEntry& e, double v) {
+  for (const Field<S>& f : Schema<S>::rows) {
+    if (f.sweep.order == 0 || sweep_path(f) != e.field) continue;
+    check(e.only.empty() || std::is_same_v<S, TopologySpec>,
+          "sweep field '" + e.field + "': 'only' applies to topology.* fields");
+    check(f.sweep.reach != Reach::kGenerator || s.growth.steps.empty(),
+          "sweep field '" + e.field + "': schedule has explicit steps (sweep "
+          "growth.budget or growth.rewire_limit instead)");
+    const std::vector<S*> targets = Schema<S>::targets(s, e);
+    check_sweep_value(e.field, f.kind, f.sweep.min, v);
+    for (S* x : targets) set_number(*x, f, v);
+    if (f.sweep.reach == Reach::kAllSteps) {
+      const Field<GrowthStep>& step_field = field_named<GrowthStep>(f.key);
+      for (GrowthStep& step : s.growth.steps) set_number(step, step_field, v);
+    }
+    return true;
+  }
+  return false;
+}
+
+template <class... S>
+bool apply_sweep(Sections<S...>, Scenario& s, const AxisEntry& e, double v) {
+  return (apply_rows<S>(s, e, v) || ...);
+}
+
+template <class... S>
+std::vector<std::pair<int, std::string>> sweep_rows(Sections<S...>) {
+  std::vector<std::pair<int, std::string>> out;
+  (
+      [&] {
+        for (const Field<S>& f : Schema<S>::rows) {
+          if (f.sweep.order > 0) out.emplace_back(f.sweep.order, sweep_path(f));
+        }
+      }(),
+      ...);
+  return out;
 }
 
 // --- sweep axes ---
@@ -523,57 +727,7 @@ Scenario scenario_from_json_impl(const Value& v, std::vector<SweepAxis>* sweep_o
   const std::string ctx = "scenario";
   ObjectReader r(v, ctx);
   Scenario s;
-  r.read("name", s.name);
-  if (const Value* topos = r.get("topologies")) {
-    s.topologies.clear();
-    const Array& arr = with_ctx(ctx + ".topologies",
-                                [&]() -> const Array& { return topos->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      s.topologies.push_back(
-          topology_from_json(arr[i], ctx + ".topologies[" + std::to_string(i) + "]"));
-    }
-  }
-  if (const Value* routings = r.get("routings")) {
-    s.routings.clear();
-    const Array& arr = with_ctx(ctx + ".routings",
-                                [&]() -> const Array& { return routings->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      s.routings.push_back(
-          routing_from_json(arr[i], ctx + ".routings[" + std::to_string(i) + "]"));
-    }
-  }
-  if (const Value* traffic = r.get("traffic")) {
-    s.traffic = traffic_from_json(*traffic, ctx + ".traffic");
-  }
-  if (const Value* metrics = r.get("metrics")) {
-    s.metrics.clear();
-    with_ctx(ctx + ".metrics", [&] {
-      for (const auto& m : metrics->as_array()) {
-        try {
-          s.metrics.push_back(metric_from_name(m.as_string()));
-        } catch (const std::invalid_argument& e) {
-          throw std::runtime_error(e.what());
-        }
-      }
-    });
-    if (s.metrics.empty()) schema_error(ctx + ".metrics", "must be non-empty");
-  }
-  if (const Value* seeds = r.get("seeds")) {
-    s.seeds.clear();
-    with_ctx(ctx + ".seeds", [&] {
-      for (const auto& seed : seeds->as_array()) s.seeds.push_back(seed.as_uint());
-    });
-    if (s.seeds.empty()) schema_error(ctx + ".seeds", "must be non-empty");
-  }
-  r.read("samples_per_seed", s.samples_per_seed);
-  if (const Value* mcf = r.get("mcf")) s.mcf = mcf_from_json(*mcf, ctx + ".mcf");
-  if (const Value* sim = r.get("sim")) s.sim = sim_from_json(*sim, ctx + ".sim");
-  if (const Value* cap = r.get("capacity")) {
-    s.capacity = capacity_from_json(*cap, ctx + ".capacity");
-  }
-  if (const Value* growth = r.get("growth")) {
-    s.growth = growth_from_json(*growth, ctx + ".growth");
-  }
+  read_fields(r, s);
   // A topology row's growth_policy swaps the planner for that row, so the
   // schedule must be structurally valid under the override too — catch the
   // combination here (with the row's context path) rather than mid-batch.
@@ -586,10 +740,6 @@ Scenario scenario_from_json_impl(const Value& v, std::vector<SweepAxis>* sweep_o
     } catch (const std::invalid_argument& e) {
       schema_error(ctx + ".topologies[" + std::to_string(i) + "].growth_policy", e.what());
     }
-  }
-  if (const Value* placement = r.get("cabling_placement")) {
-    s.cabling_placement =
-        placement_from(placement->as_string(), ctx + ".cabling_placement");
   }
   if (sweep_out != nullptr) {
     if (const Value* sweep = r.get("sweep")) {
@@ -606,36 +756,65 @@ Scenario scenario_from_json_impl(const Value& v, std::vector<SweepAxis>* sweep_o
 }
 
 Value scenario_to_json_impl(const Scenario& s, const std::vector<SweepAxis>* axes) {
-  Object o;
-  o.emplace_back("name", s.name);
-  Array topos;
-  for (const auto& t : s.topologies) topos.push_back(topology_to_json(t));
-  o.emplace_back("topologies", Value(std::move(topos)));
-  Array routings;
-  for (const auto& rs : s.routings) routings.push_back(routing_to_json(rs));
-  o.emplace_back("routings", Value(std::move(routings)));
-  o.emplace_back("traffic", traffic_to_json(s.traffic));
-  Array metrics;
-  for (Metric m : s.metrics) metrics.emplace_back(metric_name(m));
-  o.emplace_back("metrics", Value(std::move(metrics)));
-  Array seeds;
-  for (std::uint64_t seed : s.seeds) seeds.emplace_back(seed);
-  o.emplace_back("seeds", Value(std::move(seeds)));
-  o.emplace_back("samples_per_seed", s.samples_per_seed);
-  o.emplace_back("mcf", mcf_to_json(s.mcf));
-  o.emplace_back("sim", sim_to_json(s.sim));
-  o.emplace_back("capacity", capacity_to_json(s.capacity));
-  o.emplace_back("growth", growth_to_json(s.growth));
-  o.emplace_back("cabling_placement", placement_name(s.cabling_placement));
+  Value out = to_json(s);
   if (axes != nullptr && !axes->empty()) {
     Array sweep;
     for (const auto& axis : *axes) sweep.push_back(axis_to_json(axis));
-    o.emplace_back("sweep", Value(std::move(sweep)));
+    out.as_object().emplace_back("sweep", Value(std::move(sweep)));
   }
-  return Value(std::move(o));
+  return out;
+}
+
+// Reads a report object found at context path `ctx`.
+Report report_from_json_at(const Value& v, const std::string& ctx) {
+  ObjectReader r(v, ctx);
+  Report out;
+  // Absent = a pre-versioning file; those predate every format change, so
+  // they are accepted. Any explicit mismatch is a hard error: the sample
+  // semantics may have shifted under the same shape.
+  int schema_version = kReportSchemaVersion;
+  r.read("schema_version", schema_version);
+  if (schema_version != kReportSchemaVersion) {
+    schema_error(ctx + ".schema_version",
+                 "unsupported schema_version " + std::to_string(schema_version) +
+                     " (this build reads version " +
+                     std::to_string(kReportSchemaVersion) + ")");
+  }
+  r.read("scenario", out.scenario);
+  auto labels = [&](const char* key, std::vector<std::string>& dest) {
+    if (const Value* arr = r.get(key)) {
+      with_ctx(ctx + "." + key, [&] {
+        for (const auto& label : arr->as_array()) dest.push_back(label.as_string());
+      });
+    }
+  };
+  labels("topologies", out.topology_labels);
+  labels("routings", out.routing_labels);
+  if (const Value* samples = r.get("samples")) {
+    out.samples = with_ctx(ctx + ".samples", [&] { return samples_from_json(*samples); });
+  }
+  r.get("aggregates");  // derived from samples; accepted and ignored
+  r.done();
+  return out;
 }
 
 }  // namespace
+
+const std::vector<std::string>& sweep_fields() {
+  static const std::vector<std::string> fields = [] {
+    auto rows = sweep_rows(SweepSections{});
+    std::sort(rows.begin(), rows.end());
+    std::vector<std::string> out;
+    for (auto& [order, path] : rows) out.push_back(std::move(path));
+    return out;
+  }();
+  return fields;
+}
+
+void apply_sweep_value(Scenario& s, const AxisEntry& entry, double value) {
+  check(apply_sweep(SweepSections{}, s, entry, value),
+        "unknown sweep field '" + entry.field + "'");
+}
 
 Value scenario_to_json(const Scenario& s) { return scenario_to_json_impl(s, nullptr); }
 
@@ -721,37 +900,7 @@ Value report_to_json(const Report& r) {
   return Value(std::move(o));
 }
 
-Report report_from_json(const Value& v) {
-  const std::string ctx = "report";
-  ObjectReader r(v, ctx);
-  Report out;
-  // Absent = a pre-versioning file; those predate every format change, so
-  // they are accepted. Any explicit mismatch is a hard error: the sample
-  // semantics may have shifted under the same shape.
-  int schema_version = kReportSchemaVersion;
-  r.read("schema_version", schema_version);
-  if (schema_version != kReportSchemaVersion) {
-    schema_error(ctx + ".schema_version",
-                 "unsupported schema_version " + std::to_string(schema_version) +
-                     " (this build reads version " +
-                     std::to_string(kReportSchemaVersion) + ")");
-  }
-  r.read("scenario", out.scenario);
-  if (const Value* topos = r.get("topologies")) {
-    for (const auto& label : topos->as_array()) out.topology_labels.push_back(label.as_string());
-  }
-  if (const Value* routings = r.get("routings")) {
-    for (const auto& label : routings->as_array()) {
-      out.routing_labels.push_back(label.as_string());
-    }
-  }
-  if (const Value* samples = r.get("samples")) {
-    out.samples = with_ctx(ctx + ".samples", [&] { return samples_from_json(*samples); });
-  }
-  r.get("aggregates");  // derived from samples; accepted and ignored
-  r.done();
-  return out;
-}
+Report report_from_json(const Value& v) { return report_from_json_at(v, "report"); }
 
 Value sweep_report_to_json(const SweepReport& r) {
   Object o;
@@ -959,14 +1108,18 @@ SweepReport sweep_report_from_json(const Value& v) {
   SweepReport out;
   r.read("name", out.name);
   if (const Value* points = r.get("points")) {
-    for (std::size_t i = 0; i < points->as_array().size(); ++i) {
-      const Value& pv = points->as_array()[i];
-      ObjectReader pr(pv, ctx + ".points[" + std::to_string(i) + "]");
+    const Array& arr =
+        with_ctx(ctx + ".points", [&]() -> const Array& { return points->as_array(); });
+    for (std::size_t i = 0; i < arr.size(); ++i) {
+      const std::string pctx = ctx + ".points[" + std::to_string(i) + "]";
+      ObjectReader pr(arr[i], pctx);
       SweepPointResult p;
       pr.read("label", p.label);
       if (const Value* coords = pr.get("coords")) {
-        for (const auto& cv : coords->as_array()) {
-          ObjectReader cr(cv, pr.ctx() + ".coords");
+        const Array& carr =
+            with_ctx(pctx + ".coords", [&]() -> const Array& { return coords->as_array(); });
+        for (std::size_t j = 0; j < carr.size(); ++j) {
+          ObjectReader cr(carr[j], pctx + ".coords[" + std::to_string(j) + "]");
           std::string field;
           double value = 0.0;
           cr.read("field", field);
@@ -975,7 +1128,9 @@ SweepReport sweep_report_from_json(const Value& v) {
           p.coords.emplace_back(std::move(field), value);
         }
       }
-      if (const Value* report = pr.get("report")) p.report = report_from_json(*report);
+      if (const Value* report = pr.get("report")) {
+        p.report = report_from_json_at(*report, pctx + ".report");
+      }
       pr.done();
       out.points.push_back(std::move(p));
     }

@@ -1,171 +1,14 @@
 #include "eval/sweep.h"
 
 #include <chrono>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/json.h"
 
 namespace jf::eval {
 
-namespace {
-
-// Field name after the "topology." / "routing." / ... prefix.
-std::string_view suffix_after(std::string_view field, std::string_view prefix) {
-  return field.substr(prefix.size());
-}
-
-int as_int_value(const AxisEntry& entry, double v) {
-  check(v == std::floor(v) && std::abs(v) < 2e9,
-        "sweep field '" + entry.field + "' needs an integer value");
-  return static_cast<int>(v);
-}
-
-// Count fields (switch/port/server/width counts and the like) must be
-// strictly positive: a zero or negative count would either fail much later
-// inside a topology factory with an opaque error or — worse — build a
-// silently degenerate topology. Rejecting here keeps the sweep field path
-// in the message.
-int as_count_value(const AxisEntry& entry, double v) {
-  const int n = as_int_value(entry, v);
-  check(n > 0, "sweep field '" + entry.field + "' needs a positive value, got " +
-                   json::number_to_string(v));
-  return n;
-}
-
 bool topology_matches(const TopologySpec& t, const std::string& only) {
   return only.empty() || t.family == only || t.label == only;
-}
-
-// Sets `member` on one TopologySpec; returns false for unknown members.
-bool set_topology_field(TopologySpec& t, std::string_view member, const AxisEntry& entry,
-                        double v) {
-  if (member == "switches") {
-    t.switches = as_count_value(entry, v);
-  } else if (member == "ports") {
-    t.ports = as_count_value(entry, v);
-  } else if (member == "servers") {
-    t.servers = as_count_value(entry, v);
-  } else if (member == "fattree_k") {
-    t.fattree_k = as_count_value(entry, v);
-  } else if (member == "degree") {
-    t.degree = as_count_value(entry, v);
-  } else if (member == "servers_per_switch") {
-    t.servers_per_switch = as_count_value(entry, v);
-  } else if (member == "containers") {
-    t.containers = as_count_value(entry, v);
-  } else if (member == "switches_per_container") {
-    t.switches_per_container = as_count_value(entry, v);
-  } else if (member == "network_degree") {
-    t.network_degree = as_count_value(entry, v);
-  } else if (member == "local_fraction") {
-    t.local_fraction = v;
-  } else if (member == "fail_links") {
-    check(v >= 0.0 && v <= 1.0,
-          "sweep field '" + entry.field + "' needs a value in [0, 1], got " +
-              json::number_to_string(v));
-    t.fail_links = v;
-  } else if (member == "grow_from") {
-    t.grow_from = as_count_value(entry, v);
-  } else if (member == "grow_step") {
-    t.grow_step = as_count_value(entry, v);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-const std::vector<std::string>& sweep_fields() {
-  static const std::vector<std::string> fields = {
-      "topology.switches",
-      "topology.ports",
-      "topology.servers",
-      "topology.fattree_k",
-      "topology.degree",
-      "topology.servers_per_switch",
-      "topology.containers",
-      "topology.switches_per_container",
-      "topology.network_degree",
-      "topology.local_fraction",
-      "topology.grow_from",
-      "topology.grow_step",
-      "topology.fail_links",
-      "routing.width",
-      "traffic.demand",
-      "traffic.num_hot",
-      "traffic.fan_in",
-      "samples_per_seed",
-      "sim.parallel_connections",
-      "sim.subflows",
-      "sim.shards",
-      "growth.step_switches",
-      "growth.target_switches",
-      "growth.rewire_limit",
-      "growth.budget",
-  };
-  return fields;
-}
-
-void apply_sweep_value(Scenario& s, const AxisEntry& entry, double value) {
-  const std::string& f = entry.field;
-  if (f.starts_with("topology.")) {
-    int matched = 0;
-    for (auto& t : s.topologies) {
-      if (!topology_matches(t, entry.only)) continue;
-      check(set_topology_field(t, suffix_after(f, "topology."), entry, value),
-            "unknown sweep field '" + f + "'");
-      ++matched;
-    }
-    check(matched > 0, "sweep field '" + f + "': filter '" + entry.only +
-                           "' matches no topology");
-    return;
-  }
-  check(entry.only.empty(), "sweep field '" + f + "': 'only' applies to topology.* fields");
-  if (f == "routing.width") {
-    check(!s.routings.empty(), "sweep field 'routing.width': scenario has no routings");
-    for (auto& r : s.routings) r.width = as_count_value(entry, value);
-  } else if (f == "traffic.demand") {
-    s.traffic.demand = value;
-  } else if (f == "traffic.num_hot") {
-    s.traffic.num_hot = as_count_value(entry, value);
-  } else if (f == "traffic.fan_in") {
-    s.traffic.fan_in = as_count_value(entry, value);
-  } else if (f == "samples_per_seed") {
-    s.samples_per_seed = as_count_value(entry, value);
-  } else if (f == "sim.parallel_connections") {
-    s.sim.parallel_connections = as_count_value(entry, value);
-  } else if (f == "sim.subflows") {
-    s.sim.subflows = as_count_value(entry, value);
-  } else if (f == "sim.shards") {
-    s.sim.shards = as_count_value(entry, value);
-  } else if (f == "growth.step_switches" || f == "growth.target_switches") {
-    // The generator fields are ignored whenever explicit steps exist —
-    // sweeping them there would silently evaluate N identical points.
-    check(s.growth.steps.empty(),
-          "sweep field '" + f + "': schedule has explicit steps (sweep "
-          "growth.budget or growth.rewire_limit instead)");
-    if (f == "growth.step_switches") {
-      s.growth.step_switches = as_count_value(entry, value);
-    } else {
-      s.growth.target_switches = as_count_value(entry, value);
-    }
-  } else if (f == "growth.rewire_limit") {
-    // -1 means "no cap", so this is the one integer sweep field that may go
-    // below 1. Applies to the generator default and every explicit step.
-    const int limit = as_int_value(entry, value);
-    check(limit >= -1, "sweep field 'growth.rewire_limit' needs a value >= -1");
-    s.growth.rewire_limit = limit;
-    for (auto& step : s.growth.steps) step.rewire_limit = limit;
-  } else if (f == "growth.budget") {
-    check(value >= 0.0, "sweep field 'growth.budget' needs a value >= 0");
-    check(!s.growth.steps.empty(),
-          "sweep field 'growth.budget': schedule has no explicit steps");
-    for (auto& step : s.growth.steps) step.budget = value;
-  } else {
-    check(false, "unknown sweep field '" + f + "'");
-  }
 }
 
 namespace {
@@ -207,6 +50,16 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
     SweepPoint point;
     point.scenario = spec.base;
     std::string coord_label;
+    // Values first, then labels: `only` filters match the *base* specs, so
+    // label suffixes added for earlier axes must not hide a topology from
+    // later entries.
+    for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+      for (const auto& entry : spec.axes[a].entries) {
+        const double v = entry.values[idx[a]];
+        apply_sweep_value(point.scenario, entry, v);
+        point.coords.emplace_back(entry.field, v);
+      }
+    }
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
       const SweepAxis& axis = spec.axes[a];
       // Per-axis: each topology gets at most one label suffix (from the
@@ -214,28 +67,13 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
       // stack redundant coordinates onto one label.
       std::vector<bool> suffixed(point.scenario.topologies.size(), false);
       for (const auto& entry : axis.entries) {
-        const double v = entry.values[idx[a]];
-        point.coords.emplace_back(entry.field, v);
-        if (entry.field.starts_with("topology.")) {
-          // Filters match the *base* specs: label suffixes added for earlier
-          // axes/entries must not hide a topology from later entries.
-          int matched = 0;
-          for (std::size_t t = 0; t < point.scenario.topologies.size(); ++t) {
-            if (!topology_matches(spec.base.topologies[t], entry.only)) continue;
-            auto& ts = point.scenario.topologies[t];
-            check(set_topology_field(ts, suffix_after(entry.field, "topology."), entry, v),
-                  "unknown sweep field '" + entry.field + "'");
-            if (!suffixed[t]) {
-              ts.label = ts.display() + "/" + short_field(entry.field) + "=" +
-                         json::number_to_string(v);
-              suffixed[t] = true;
-            }
-            ++matched;
-          }
-          check(matched > 0, "sweep field '" + entry.field + "': filter '" + entry.only +
-                                 "' matches no topology");
-        } else {
-          apply_sweep_value(point.scenario, entry, v);
+        if (!entry.field.starts_with("topology.")) continue;
+        for (std::size_t t = 0; t < point.scenario.topologies.size(); ++t) {
+          if (suffixed[t] || !topology_matches(spec.base.topologies[t], entry.only)) continue;
+          auto& ts = point.scenario.topologies[t];
+          ts.label = ts.display() + "/" + short_field(entry.field) + "=" +
+                     json::number_to_string(entry.values[idx[a]]);
+          suffixed[t] = true;
         }
       }
       const auto& first = axis.entries.front();

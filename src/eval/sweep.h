@@ -57,16 +57,21 @@ struct SweepPoint {
   std::vector<std::pair<std::string, double>> coords;  // every applied entry
 };
 
-// Dotted field paths sweepable via AxisEntry::field. topology.* fields set
-// the member on every (filter-passing) TopologySpec; routing.width sets
-// every RoutingSpec's width; traffic.*/sim.* and samples_per_seed adjust the
-// scenario scalars.
+// Dotted field paths sweepable via AxisEntry::field, in jf_eval list order.
+// topology.* fields set the member on every (filter-passing) TopologySpec;
+// routing.width sets every RoutingSpec's width; traffic.*/sim.*/growth.* and
+// samples_per_seed adjust the scenario scalars. Both this list and
+// apply_sweep_value are driven by the scenario-field table in serialize.cc.
 const std::vector<std::string>& sweep_fields();
 
 // Applies one swept value to the scenario. Throws std::invalid_argument for
-// unknown fields, non-integral values on integer fields, or a topology
-// filter that matches nothing.
+// unknown fields, values outside the field's kind or bounds (non-integral
+// or non-positive counts, fractions outside [0, 1]), or a topology filter
+// that matches nothing.
 void apply_sweep_value(Scenario& s, const AxisEntry& entry, double value);
+
+// True when `only` is empty or names the topology's family or label.
+bool topology_matches(const TopologySpec& t, const std::string& only);
 
 // Expands the cartesian product of the axes over the base scenario, in a
 // canonical order that depends only on the spec. A spec with no axes yields

@@ -173,6 +173,59 @@ TEST(EvalEngine, CustomFamilyAndSchemeRegister) {
   EXPECT_GT(report.series(0, 0, "routed_throughput").at(0), 0.0);
 }
 
+// Every metric that runs the packet simulator refuses fail_links up front:
+// a disconnected pair would otherwise abort the batch mid-run (or, at low
+// failure rates, silently run on a subset of the flows).
+TEST(EvalEngine, SimMetricsRejectFailLinksUpFront) {
+  eval::Scenario s;
+  s.topologies = {{.family = "jellyfish",
+                   .label = "jf-failed",
+                   .switches = 12,
+                   .ports = 6,
+                   .servers = 24,
+                   .fail_links = 0.05}};
+  s.routings = {{"ksp", 4}};
+  s.metrics = {eval::Metric::kFlowStats};
+  try {
+    eval::Engine({.threads = 1}).run(s);
+    FAIL() << "flow_stats with fail_links accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("flow_stats"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("fail_links"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'jf-failed'"), std::string::npos) << msg;
+  }
+}
+
+// The metric registry is the only place a metric is spelled: every row sits
+// at its enum index, its name round-trips, and its needs flags are
+// consistent.
+TEST(EvalEngine, MetricTableRowsAreConsistent) {
+  std::set<std::string_view> names;
+  const auto table = eval::metric_table();
+  ASSERT_FALSE(table.empty());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const eval::MetricInfo& row = table[i];
+    SCOPED_TRACE(std::string(row.name));
+    EXPECT_EQ(static_cast<std::size_t>(row.metric), i);
+    EXPECT_EQ(&eval::metric_info(row.metric), &row);
+    EXPECT_EQ(eval::metric_from_name(std::string(row.name)), row.metric);
+    EXPECT_EQ(eval::metric_info(eval::metric_from_name(std::string(row.name))).name, row.name);
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate metric name";
+    EXPECT_FALSE(row.description.empty());
+    EXPECT_NE(row.kernel, nullptr);
+    // Path, sim and telemetry readers run in routed cells on a built
+    // topology; growth metrics never build the cell's topology.
+    if (row.needs & (eval::kNeedsPaths | eval::kNeedsSim | eval::kNeedsTelemetry)) {
+      EXPECT_TRUE(row.has(eval::kNeedsRouting | eval::kNeedsBuild));
+    }
+    EXPECT_TRUE(!row.has(eval::kNeedsTelemetry) || row.has(eval::kNeedsSim));
+    EXPECT_TRUE(!row.has(eval::kNeedsGrowthBisection) || row.has(eval::kNeedsGrowth));
+    EXPECT_FALSE(row.has(eval::kNeedsGrowth) && row.has(eval::kNeedsBuild));
+  }
+  EXPECT_THROW(eval::metric_from_name("throughputt"), std::invalid_argument);
+}
+
 TEST(RestrictedMcf, NeverBeatsUnrestrictedByMuchAndKspRecoversCapacity) {
   Rng rng(3);
   auto topo = topo::build_jellyfish_with_servers(20, 8, 40, rng);

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "common/digest.h"
 #include "eval/engine.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
@@ -150,6 +151,35 @@ TEST(Serialize, LoaderErrorPaths) {
   // truncations.
   expect_context(R"({"topologies": [{"family": "jellyfish", "switches": 4294967298}]})",
                  "topologies[0].switches");
+  // Report and sweep-report loaders qualify their errors the same way, down
+  // to the array element.
+  auto expect_report_context = [](auto loader, const char* text, const char* needle) {
+    try {
+      loader(json::Value::parse(text));
+      FAIL() << "expected std::invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  };
+  expect_report_context(eval::report_from_json, R"({"scenario": "x", "topologies": 5})",
+                        "report.topologies");
+  expect_report_context(eval::sweep_report_from_json, R"({"name": "x", "points": 7})",
+                        "sweep_report.points");
+  expect_report_context(eval::sweep_report_from_json,
+                        R"({"name": "x", "points": [{"label": "p", "coords": [
+                            {"field": "topology.servers", "value": 1},
+                            {"field": "routing.width", "value": "two"}]}]})",
+                        "sweep_report.points[0].coords[1].value");
+}
+
+// Cell-store digests hash the canonical scenario bytes, so a reordered or
+// renamed field row would silently orphan every stored cell. Pin the bytes.
+TEST(Serialize, CanonicalScenarioBytesArePinned) {
+  EXPECT_EQ(common::sha256_hex(eval::scenario_to_json(eval::Scenario{}).dump()),
+            "c82ae00d7f6cba188ef5c52c4de9a4d9355312aae9f5ea7ef1df1c98fafe003b");
+  const auto smoke = eval::load_sweep_file(JF_SCENARIO_DIR "/smoke.json");
+  EXPECT_EQ(common::sha256_hex(eval::scenario_to_json(smoke.base).dump()),
+            "c4523283c17284e456b7615ba6c712d9399710a2887899f1405a5d4962d88b07");
 }
 
 TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {

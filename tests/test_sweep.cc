@@ -3,6 +3,7 @@
 // PathCache fast path for deterministic topology families.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -127,6 +128,53 @@ TEST(Sweep, CountFieldsRejectNonPositiveValues) {
   // traffic.demand is a rate, not a count: zero stays legal.
   eval::apply_sweep_value(s, {"traffic.demand", "", {}}, 0.0);
   EXPECT_EQ(s.traffic.demand, 0.0);
+}
+
+// The field table drives both the sweep setters and the canonical writer:
+// a value swept into any field shows up at that field's own JSON path.
+TEST(Sweep, EveryFieldLandsAtItsJsonPath) {
+  // Each sweep path prefix and the JSON object it lands in (first element
+  // of an array section).
+  auto json_at = [](const json::Value& root, const std::string& field) -> const json::Value* {
+    const auto dot = field.find('.');
+    if (dot == std::string::npos) return root.find(field);
+    const std::string section = field.substr(0, dot), key = field.substr(dot + 1);
+    const json::Value* obj = nullptr;
+    if (section == "topology") obj = &root.find("topologies")->as_array().at(0);
+    if (section == "routing") obj = &root.find("routings")->as_array().at(0);
+    if (section == "traffic" || section == "sim" || section == "growth") {
+      obj = root.find(section);
+    }
+    if (obj == nullptr) return nullptr;
+    if (const json::Value* v = obj->find(key)) return v;
+    // Per-step growth fields (growth.budget) live in the explicit steps.
+    if (section == "growth") return obj->find("steps")->as_array().at(0).find(key);
+    return nullptr;
+  };
+  for (const std::string& field : eval::sweep_fields()) {
+    SCOPED_TRACE(field);
+    eval::Scenario s;
+    s.topologies = {{.family = "jellyfish", .switches = 8, .ports = 4, .servers = 8}};
+    s.routings = {{"ksp", 4}};
+    // growth.budget only exists on explicit steps; the generator fields are
+    // refused over them.
+    if (field == "growth.budget") s.growth.steps = {{}};
+    // 7 fits every kind but a fraction.
+    double value = 7.0;
+    try {
+      eval::apply_sweep_value(s, {field, "", {}}, value);
+    } catch (const std::invalid_argument&) {
+      value = 0.25;
+      eval::apply_sweep_value(s, {field, "", {}}, value);
+    }
+    const json::Value root = eval::scenario_to_json(s);
+    const json::Value* v = json_at(root, field);
+    ASSERT_NE(v, nullptr) << "no JSON key for sweep field";
+    EXPECT_EQ(v->as_number(), value);
+  }
+  // Paths are unique.
+  std::set<std::string> unique(eval::sweep_fields().begin(), eval::sweep_fields().end());
+  EXPECT_EQ(unique.size(), eval::sweep_fields().size());
 }
 
 TEST(Sweep, RunSweepByteIdenticalAcrossThreadCounts) {
