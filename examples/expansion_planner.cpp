@@ -10,40 +10,43 @@
 
 #include "common/rng.h"
 #include "common/table.h"
-#include "expansion/planner.h"
+#include "expansion/schedule.h"
 
 int main() {
   using namespace jf;
 
-  expansion::InitialBuild initial;  // 34 switches x 24 ports, 480 servers
-  expansion::CostModel costs;
-  std::vector<expansion::ExpansionStage> stages = {
-      {30000.0, 720},  // stage 1: +240 servers plus whatever fits
-      {30000.0, 0},    // stages 2-5: network capacity only
-      {30000.0, 0},
-      {30000.0, 0},
-      {30000.0, 0},
+  // One arc, planned under both growth policies.
+  expansion::GrowthSchedule arc;  // 34 switches x 24 ports, 480 servers
+  arc.steps = {
+      {.min_servers = 720, .budget = 30000.0},  // stage 1: +240 servers plus whatever fits
+      {.budget = 30000.0},                      // stages 2-5: network capacity only
+      {.budget = 30000.0},
+      {.budget = 30000.0},
+      {.budget = 30000.0},
   };
+  expansion::GrowthSchedule clos_arc = arc;
+  clos_arc.policy = "clos";
+  expansion::CostModel costs;
 
   Rng rng(2024);
   Rng jf_rng = rng.fork(1), clos_rng = rng.fork(2);
-  auto jf_plan = expansion::plan_jellyfish_expansion(initial, stages, costs, jf_rng);
-  auto clos_plan = expansion::plan_clos_expansion(initial, stages, costs, clos_rng);
+  auto jf_plan = expansion::plan_growth(arc, costs, jf_rng);
+  auto clos_plan = expansion::plan_growth(clos_arc, costs, clos_rng);
 
   print_banner(std::cout, "Expansion plan: Jellyfish vs structured Clos");
   Table table({"stage", "jf_cost", "jf_switches", "jf_servers", "jf_bisection", "clos_cost",
                "clos_switches", "clos_bisection"});
-  for (std::size_t i = 0; i < jf_plan.stages.size(); ++i) {
-    const auto& j = jf_plan.stages[i];
-    const auto& c = clos_plan.stages[i];
-    table.add_row({Table::fmt(j.stage), Table::fmt(j.cumulative_cost, 0),
+  for (std::size_t i = 0; i < jf_plan.steps.size(); ++i) {
+    const auto& j = jf_plan.steps[i];
+    const auto& c = clos_plan.steps[i];
+    table.add_row({Table::fmt(j.step), Table::fmt(j.cumulative_cost, 0),
                    Table::fmt(j.switches), Table::fmt(j.servers),
                    Table::fmt(j.normalized_bisection), Table::fmt(c.cumulative_cost, 0),
                    Table::fmt(c.switches), Table::fmt(c.normalized_bisection)});
   }
   table.print(std::cout);
 
-  const auto& last = jf_plan.stages.back();
+  const auto& last = jf_plan.steps.back();
   std::cout << "\nfinal Jellyfish network: " << last.switches << " switches hosting "
             << last.servers << " servers, normalized bisection bandwidth "
             << last.normalized_bisection << "\n";

@@ -1,11 +1,11 @@
 // State types for the packet-level simulator.
 //
-// sim::sharded::ShardedSimulator (sim/sharded/sharded_sim.h) runs one event
-// heap per link shard, advanced in conservative-lookahead rounds; with one
-// shard it is a plain serial event loop. Every shard drives the same link
-// mechanics (sim/event_loop.h) and transport state machines
-// (sim/transport_ops.h) over the types defined here — which is what makes
-// results bit-identical at any shard count.
+// sim::Simulator (sim/simulator.h) runs one event heap per link shard,
+// advanced in conservative-lookahead rounds; with one shard it is a plain
+// serial event loop. Every shard drives the same link mechanics
+// (sim/event_loop.h) and transport state machines (sim/tcp.cc) over the
+// types defined here — which is what makes results bit-identical at any
+// shard count.
 //
 // Determinism contract. Events are processed in (time, order) order, where
 // `order` is NOT a global arrival counter (that would encode the scheduler's

@@ -1,135 +1,116 @@
-// Link-layer event mechanics of the packet simulator.
-//
-// EngineOps<Engine> implements the store-and-forward machinery — drop-tail
-// enqueue, transmission scheduling, hop-by-hop forwarding, and the event
-// dispatch switch — as a template over the state host, a sharded::Shard
-// (sim/sharded/sharded_sim.h). The host provides:
-//
-//   links_, flows_, cfg_, now_, measure_start_, measure_end_   (state)
-//   telemetry_                    Telemetry* (may be null); purely observed
-//   schedule_self(Event&&)        kLinkDone; the emitting link's own queue
-//   dispatch_arrival(Event&&)     kArrive; routed by the packet's next hop
-//   dispatch_loss(Event&&)        kLossNotify; routed to the sender endpoint
-//   schedule_transport(Event&&)   kTimeout; emitted at the sender endpoint
-//
-// schedule_self and schedule_transport are shard-local by construction (a
-// link's transmissions complete in its own shard; timers fire where the
-// sender lives), while dispatch_arrival/dispatch_loss may stage the event
-// in a mailbox for another shard. Nothing in this file knows where an
-// event lands — that is the point: identical mechanics and event-order keys
-// at any shard count, so identical results.
+// Link-layer event mechanics of the packet simulator: drop-tail enqueue,
+// transmission scheduling, hop-by-hop forwarding and the event dispatch
+// switch, as Simulator::Shard members. They are inline here so that both
+// the round loop (sim/simulator.cc) and the transport state machines
+// (sim/tcp.cc) inline them. Nothing in this file knows where an event lands: identical
+// mechanics and event-order keys at any shard count, so identical results.
 #pragma once
 
 #include <algorithm>
 
 #include "common/check.h"
 #include "sim/core.h"
+#include "sim/simulator.h"
 #include "sim/telemetry.h"
-#include "sim/transport_ops.h"
 
 namespace jf::sim {
 
-template <class Engine>
-struct EngineOps {
-  // Appends the packet to the link's drop-tail queue, starting transmission
-  // if the link is idle. On overflow, data packets trigger an oracle-SACK
-  // loss notification to the sender (DESIGN.md §3). Real SACK feedback
-  // takes about one round trip — the following segment's dupacks — so the
-  // notification is delayed by the packet's experienced one-way delay plus
-  // the uncongested ACK return time, every term of which is local to the
-  // dropping link's shard (the packet carries its send timestamp and the
-  // return time is a static property of the path). The floor also keeps a
-  // dropped retransmission from livelocking the event loop at one
-  // timestamp.
-  static void enqueue_packet(Engine& eng, int link_id, const Packet& pkt) {
-    Link& l = eng.links_[static_cast<std::size_t>(link_id)];
-    if (static_cast<int>(l.queue.size()) >= l.queue_capacity) {
-      ++l.drops;
-      if (eng.telemetry_) eng.telemetry_->on_drop(link_id, eng.now_);
-      if (!pkt.is_ack) {
-        const Subflow& sf = eng.flows_[static_cast<std::size_t>(pkt.flow)]
-                                .subflows[static_cast<std::size_t>(pkt.subflow)];
-        const TimeNs feedback = std::max<TimeNs>(eng.cfg_.loss_feedback_floor_ns,
-                                                 (eng.now_ - pkt.ts) + sf.ack_return_ns);
-        Event ev;
-        ev.time = eng.now_ + feedback;
-        ev.order = make_order(link_order_src(link_id), l.order_seq++);
-        ev.type = EventType::kLossNotify;
-        ev.pkt = pkt;
-        eng.dispatch_loss(std::move(ev));
-      }
-      return;
+// Appends the packet to the link's drop-tail queue, starting transmission if
+// the link is idle. On overflow, data packets trigger an oracle-SACK loss
+// notification to the sender (DESIGN.md §3). Real SACK feedback takes about
+// one round trip — the following segment's dupacks — so the notification is
+// delayed by the packet's experienced one-way delay plus the uncongested ACK
+// return time, every term of which is local to the dropping link's shard
+// (the packet carries its send timestamp and the return time is a static
+// property of the path). The floor also keeps a dropped retransmission from
+// livelocking the event loop at one timestamp.
+inline void Simulator::Shard::enqueue_packet(int link_id, const Packet& pkt) {
+  Link& l = owner_.links_[static_cast<std::size_t>(link_id)];
+  Telemetry* telemetry = owner_.telemetry_;
+  if (static_cast<int>(l.queue.size()) >= l.queue_capacity) {
+    ++l.drops;
+    if (telemetry) telemetry->on_drop(link_id, now_);
+    if (!pkt.is_ack) {
+      const Subflow& sf = owner_.flows_[static_cast<std::size_t>(pkt.flow)]
+                              .subflows[static_cast<std::size_t>(pkt.subflow)];
+      const TimeNs feedback = std::max<TimeNs>(owner_.cfg_.loss_feedback_floor_ns,
+                                               (now_ - pkt.ts) + sf.ack_return_ns);
+      Event ev;
+      ev.time = now_ + feedback;
+      ev.order = make_order(link_order_src(link_id), l.order_seq++);
+      ev.type = EventType::kLossNotify;
+      ev.pkt = pkt;
+      dispatch_loss(std::move(ev));
     }
-    l.queue.push_back(pkt);
-    if (eng.telemetry_) {
-      eng.telemetry_->on_enqueue(link_id, eng.now_, static_cast<int>(l.queue.size()));
-    }
-    if (!l.busy) start_transmission(eng, link_id);
+    return;
   }
+  l.queue.push_back(pkt);
+  if (telemetry) telemetry->on_enqueue(link_id, now_, static_cast<int>(l.queue.size()));
+  if (!l.busy) start_transmission(link_id);
+}
 
-  static void start_transmission(Engine& eng, int link_id) {
-    Link& l = eng.links_[static_cast<std::size_t>(link_id)];
-    ensure(!l.queue.empty(), "start_transmission: empty queue");
-    l.busy = true;
-    const Packet& head = l.queue.front();
-    Event ev;
-    ev.time = eng.now_ + transmit_time_ns(head.size_bytes, l.rate_bps);
-    ev.order = make_order(link_order_src(link_id), l.order_seq++);
-    ev.type = EventType::kLinkDone;
-    ev.a = link_id;
-    eng.schedule_self(std::move(ev));
-  }
+inline void Simulator::Shard::start_transmission(int link_id) {
+  Link& l = owner_.links_[static_cast<std::size_t>(link_id)];
+  ensure(!l.queue.empty(), "start_transmission: empty queue");
+  l.busy = true;
+  const Packet& head = l.queue.front();
+  Event ev;
+  ev.time = now_ + transmit_time_ns(head.size_bytes, l.rate_bps);
+  ev.order = make_order(link_order_src(link_id), l.order_seq++);
+  ev.type = EventType::kLinkDone;
+  ev.a = link_id;
+  events_.push(std::move(ev));
+}
 
-  static void forward_or_deliver(Engine& eng, Packet pkt) {
-    Flow& f = eng.flows_[static_cast<std::size_t>(pkt.flow)];
-    Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
-    const auto& path = pkt.is_ack ? sf.ack_path : sf.data_path;
-    if (pkt.hop < static_cast<std::int16_t>(path.size())) {
-      const int next_link = path[static_cast<std::size_t>(pkt.hop)];
-      ++pkt.hop;
-      enqueue_packet(eng, next_link, pkt);
-      return;
-    }
-    // Reached the endpoint: hand to the transport layer.
-    if (pkt.is_ack) TransportOps<Engine>::on_ack(eng, pkt);
-    else TransportOps<Engine>::on_data(eng, pkt);
+inline void Simulator::Shard::forward_or_deliver(Packet pkt) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(pkt.flow)];
+  Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
+  const auto& path = pkt.is_ack ? sf.ack_path : sf.data_path;
+  if (pkt.hop < static_cast<std::int16_t>(path.size())) {
+    const int next_link = path[static_cast<std::size_t>(pkt.hop)];
+    ++pkt.hop;
+    enqueue_packet(next_link, pkt);
+    return;
   }
+  // Reached the endpoint: hand to the transport layer.
+  if (pkt.is_ack) on_ack(pkt);
+  else on_data(pkt);
+}
 
-  static void handle(Engine& eng, const Event& ev) {
-    switch (ev.type) {
-      case EventType::kLinkDone: {
-        Link& l = eng.links_[static_cast<std::size_t>(ev.a)];
-        ensure(l.busy && !l.queue.empty(), "kLinkDone: inconsistent link state");
-        Packet pkt = l.queue.front();
-        l.queue.pop_front();
-        ++l.tx_packets;
-        l.tx_bytes += pkt.size_bytes;
-        if (eng.telemetry_) eng.telemetry_->on_transmit(ev.a, eng.now_, pkt.size_bytes);
-        // Propagate to the next hop after the wire delay.
-        Event arrive;
-        arrive.time = eng.now_ + l.delay_ns;
-        arrive.order = make_order(link_order_src(ev.a), l.order_seq++);
-        arrive.type = EventType::kArrive;
-        arrive.pkt = pkt;
-        eng.dispatch_arrival(std::move(arrive));
-        if (!l.queue.empty()) start_transmission(eng, ev.a);
-        else l.busy = false;
-        break;
-      }
-      case EventType::kArrive:
-        forward_or_deliver(eng, ev.pkt);
-        break;
-      case EventType::kTimeout:
-        TransportOps<Engine>::on_timeout(eng, ev.a, ev.b, ev.gen);
-        break;
-      case EventType::kFlowStart:
-        TransportOps<Engine>::try_send(eng, ev.a, ev.b);
-        break;
-      case EventType::kLossNotify:
-        TransportOps<Engine>::on_loss(eng, ev.pkt);
-        break;
+inline void Simulator::Shard::handle(const Event& ev) {
+  switch (ev.type) {
+    case EventType::kLinkDone: {
+      Link& l = owner_.links_[static_cast<std::size_t>(ev.a)];
+      ensure(l.busy && !l.queue.empty(), "kLinkDone: inconsistent link state");
+      Packet pkt = l.queue.front();
+      l.queue.pop_front();
+      ++l.tx_packets;
+      l.tx_bytes += pkt.size_bytes;
+      if (owner_.telemetry_) owner_.telemetry_->on_transmit(ev.a, now_, pkt.size_bytes);
+      // Propagate to the next hop after the wire delay.
+      Event arrive;
+      arrive.time = now_ + l.delay_ns;
+      arrive.order = make_order(link_order_src(ev.a), l.order_seq++);
+      arrive.type = EventType::kArrive;
+      arrive.pkt = pkt;
+      dispatch_arrival(std::move(arrive));
+      if (!l.queue.empty()) start_transmission(ev.a);
+      else l.busy = false;
+      break;
     }
+    case EventType::kArrive:
+      forward_or_deliver(ev.pkt);
+      break;
+    case EventType::kTimeout:
+      on_timeout(ev.a, ev.b, ev.gen);
+      break;
+    case EventType::kFlowStart:
+      try_send(ev.a, ev.b);
+      break;
+    case EventType::kLossNotify:
+      on_loss(ev.pkt);
+      break;
   }
-};
+}
 
 }  // namespace jf::sim

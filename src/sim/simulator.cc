@@ -1,25 +1,32 @@
-#include "sim/sharded/sharded_sim.h"
+#include "sim/simulator.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
+#include "graph/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event_loop.h"
 
-namespace jf::sim::sharded {
+namespace jf::sim {
 
-Shard::Shard(ShardedSimulator& owner, int id)
-    : owner_(owner),
-      id_(id),
-      cfg_(owner.cfg_),
-      links_(owner.links_),
-      flows_(owner.flows_),
-      measure_start_(owner.measure_start_),
-      measure_end_(owner.measure_end_) {}
+ShardPlan build_shard_plan(const topo::Topology& topo, int shards, Rng rng, int restarts) {
+  check(shards >= 1, "build_shard_plan: shards must be >= 1");
+  ShardPlan plan;
+  plan.num_shards = std::max(1, std::min(shards, topo.num_switches()));
+  if (plan.num_shards <= 1) {
+    plan.switch_shard.assign(static_cast<std::size_t>(topo.num_switches()), 0);
+    return plan;
+  }
+  plan.switch_shard =
+      graph::balanced_partition(topo.switches(), plan.num_shards, rng, restarts);
+  return plan;
+}
 
-void Shard::dispatch_arrival(Event&& ev) {
+void Simulator::Shard::dispatch_arrival(Event&& ev) {
   const Packet& pkt = ev.pkt;
-  const Subflow& sf = flows_[static_cast<std::size_t>(pkt.flow)]
+  const Subflow& sf = owner_.flows_[static_cast<std::size_t>(pkt.flow)]
                           .subflows[static_cast<std::size_t>(pkt.subflow)];
   const auto& path = pkt.is_ack ? sf.ack_path : sf.data_path;
   int dest;
@@ -32,11 +39,11 @@ void Shard::dispatch_arrival(Event&& ev) {
   route(std::move(ev), dest);
 }
 
-void Shard::dispatch_loss(Event&& ev) {
+void Simulator::Shard::dispatch_loss(Event&& ev) {
   route(std::move(ev), owner_.flow_src_shard_[static_cast<std::size_t>(ev.pkt.flow)]);
 }
 
-void Shard::route(Event&& ev, int dest) {
+void Simulator::Shard::route(Event&& ev, int dest) {
   if (dest == id_) {
     events_.push(std::move(ev));
   } else {
@@ -45,7 +52,7 @@ void Shard::route(Event&& ev, int dest) {
   }
 }
 
-void Shard::run_round(TimeNs horizon, TimeNs t_end) {
+void Simulator::Shard::run_round(TimeNs horizon, TimeNs t_end) {
   while (!events_.empty()) {
     const Event& top = events_.top();
     if (top.time >= horizon || top.time > t_end) break;
@@ -54,12 +61,12 @@ void Shard::run_round(TimeNs horizon, TimeNs t_end) {
     ensure(ev.time >= now_, "run_round: time went backwards");
     now_ = ev.time;
     ++events_processed_;
-    EngineOps<Shard>::handle(*this, ev);
+    handle(ev);
   }
 }
 
-ShardedSimulator::ShardedSimulator(SimConfig cfg, int num_shards) : cfg_(cfg) {
-  check(num_shards >= 1, "ShardedSimulator: need >= 1 shard");
+Simulator::Simulator(SimConfig cfg, int num_shards) : cfg_(cfg) {
+  check(num_shards >= 1, "Simulator: need >= 1 shard");
   shards_.reserve(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     shards_.emplace_back(*this, s);
@@ -67,12 +74,11 @@ ShardedSimulator::ShardedSimulator(SimConfig cfg, int num_shards) : cfg_(cfg) {
   }
 }
 
-int ShardedSimulator::add_link(int shard) {
+int Simulator::add_link(int shard) {
   return add_link(shard, cfg_.link_rate_bps, cfg_.link_delay_ns, cfg_.queue_capacity_pkts);
 }
 
-int ShardedSimulator::add_link(int shard, double rate_bps, TimeNs delay_ns,
-                               int queue_capacity) {
+int Simulator::add_link(int shard, double rate_bps, TimeNs delay_ns, int queue_capacity) {
   check(!started_, "add_link: simulation already started");
   check(shard >= 0 && shard < num_shards(), "add_link: bad shard id");
   check(rate_bps > 0 && delay_ns >= 0 && queue_capacity >= 1, "add_link: bad parameters");
@@ -81,8 +87,8 @@ int ShardedSimulator::add_link(int shard, double rate_bps, TimeNs delay_ns,
   return static_cast<int>(links_.size()) - 1;
 }
 
-int ShardedSimulator::add_flow(int src_server, int dst_server, bool mptcp, int src_shard,
-                               int dst_shard) {
+int Simulator::add_flow(int src_server, int dst_server, bool mptcp, int src_shard,
+                        int dst_shard) {
   check(!started_, "add_flow: simulation already started");
   check(src_shard >= 0 && src_shard < num_shards() && dst_shard >= 0 &&
             dst_shard < num_shards(),
@@ -97,11 +103,17 @@ int ShardedSimulator::add_flow(int src_server, int dst_server, bool mptcp, int s
   return static_cast<int>(flows_.size()) - 1;
 }
 
-void ShardedSimulator::add_subflow(int flow, std::vector<int> data_path,
-                                   std::vector<int> ack_path, TimeNs start_time) {
+void Simulator::add_subflow(int flow, std::vector<int> data_path, std::vector<int> ack_path,
+                            TimeNs start_time) {
   check(!started_, "add_subflow: simulation already started");
   check(flow >= 0 && flow < num_flows(), "add_subflow: bad flow id");
   check(!data_path.empty() && !ack_path.empty(), "add_subflow: empty path");
+  // Packets carry the subflow index and the hop cursor as int16.
+  constexpr std::size_t kMaxPacketField = std::numeric_limits<std::int16_t>::max();
+  auto& subflows = flows_[static_cast<std::size_t>(flow)].subflows;
+  check(subflows.size() <= kMaxPacketField, "add_subflow: too many subflows on one flow");
+  check(data_path.size() <= kMaxPacketField && ack_path.size() <= kMaxPacketField,
+        "add_subflow: path too long");
   for (int l : data_path) {
     check(l >= 0 && l < static_cast<int>(links_.size()), "add_subflow: bad data link");
   }
@@ -119,16 +131,16 @@ void ShardedSimulator::add_subflow(int flow, std::vector<int> data_path,
   }
   sf.cwnd = cfg_.initial_cwnd_pkts;
   sf.rto_ns = cfg_.initial_rto_ns;
-  flows_[static_cast<std::size_t>(flow)].subflows.push_back(std::move(sf));
+  subflows.push_back(std::move(sf));
 }
 
-void ShardedSimulator::set_measure_window(TimeNs start, TimeNs end) {
+void Simulator::set_measure_window(TimeNs start, TimeNs end) {
   check(start >= 0 && end > start, "set_measure_window: bad window");
   measure_start_ = start;
   measure_end_ = end;
 }
 
-void ShardedSimulator::set_flow_size(int flow, std::int64_t bytes) {
+void Simulator::set_flow_size(int flow, std::int64_t bytes) {
   check(!started_, "set_flow_size: simulation already started");
   check(flow >= 0 && flow < num_flows(), "set_flow_size: bad flow id");
   check(bytes >= 0, "set_flow_size: negative size");
@@ -151,41 +163,40 @@ void ShardedSimulator::set_flow_size(int flow, std::int64_t bytes) {
   }
 }
 
-void ShardedSimulator::set_telemetry(Telemetry* telemetry) {
+void Simulator::set_telemetry(Telemetry* telemetry) {
   check(!started_, "set_telemetry: simulation already started");
-  for (Shard& sh : shards_) sh.telemetry_ = telemetry;
+  telemetry_ = telemetry;
   if (telemetry != nullptr) telemetry->attach(links_.size(), flows_.size());
 }
 
-void ShardedSimulator::finalize_telemetry() {
-  check(!shards_.empty() && shards_.front().telemetry_ != nullptr,
-        "finalize_telemetry: no telemetry attached");
+void Simulator::finalize_telemetry() {
+  check(telemetry_ != nullptr, "finalize_telemetry: no telemetry attached");
   // Every shard's clock is exactly t_end after run_until.
-  shards_.front().telemetry_->finalize(cfg_, links_, flows_, shards_.front().now_);
+  telemetry_->finalize(cfg_, links_, flows_, shards_.front().now_);
 }
 
-const Flow& ShardedSimulator::flow(int id) const {
+const Flow& Simulator::flow(int id) const {
   check(id >= 0 && id < num_flows(), "flow: bad id");
   return flows_[static_cast<std::size_t>(id)];
 }
 
-const Link& ShardedSimulator::link(int id) const {
+const Link& Simulator::link(int id) const {
   check(id >= 0 && id < static_cast<int>(links_.size()), "link: bad id");
   return links_[static_cast<std::size_t>(id)];
 }
 
-int ShardedSimulator::link_shard(int id) const {
+int Simulator::link_shard(int id) const {
   check(id >= 0 && id < static_cast<int>(links_.size()), "link_shard: bad id");
   return link_shard_[static_cast<std::size_t>(id)];
 }
 
-std::int64_t ShardedSimulator::total_drops() const {
+std::int64_t Simulator::total_drops() const {
   std::int64_t total = 0;
   for (const Link& l : links_) total += l.drops;
   return total;
 }
 
-double ShardedSimulator::normalized_goodput(int flow_id) const {
+double Simulator::normalized_goodput(int flow_id) const {
   const Flow& f = flow(flow_id);
   check(measure_end_ > measure_start_, "normalized_goodput: no measurement window set");
   const double seconds = static_cast<double>(measure_end_ - measure_start_) / 1e9;
@@ -193,12 +204,12 @@ double ShardedSimulator::normalized_goodput(int flow_id) const {
          cfg_.link_rate_bps;
 }
 
-TimeNs ShardedSimulator::lookahead_ns() const {
+TimeNs Simulator::lookahead_ns() const {
   check(started_, "lookahead_ns: valid once run_until has been called");
   return lookahead_ns_;
 }
 
-void ShardedSimulator::finalize() {
+void Simulator::finalize() {
   bool any_cut = false;
   auto note_cut = [&](TimeNs latency) {
     any_cut = true;
@@ -257,7 +268,7 @@ void ShardedSimulator::finalize() {
   }
 }
 
-void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
+void Simulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
   // Round telemetry: counts are exact and schedule-independent (the round
   // structure is decided by timestamps and the lookahead, never by worker
   // scheduling); barrier_wait_ns is the per-shard slack within each round —
@@ -334,4 +345,4 @@ void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
   for (Shard& sh : shards_) sh.now_ = std::max(sh.now_, t_end);
 }
 
-}  // namespace jf::sim::sharded
+}  // namespace jf::sim

@@ -1,20 +1,26 @@
+// Transport-layer state machines of the packet simulator, as
+// Simulator::Shard members (declared in sim/simulator.h).
+//
+// TCP NewReno: slow start, congestion avoidance, fast retransmit/recovery
+// with partial-ACK retransmission, RFC 6298 RTO estimation. MPTCP: the same
+// machinery per subflow, with congestion-avoidance window increases coupled
+// across subflows by the LIA rule (Wischik et al., NSDI 2011) so a multipath
+// flow pools capacity instead of grabbing k independent fair shares.
 #include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 #include "sim/event_loop.h"
-#include "sim/sharded/sharded_sim.h"
-#include "sim/transport_ops.h"
+#include "sim/simulator.h"
 
 namespace jf::sim {
 
 namespace {
 constexpr double kMinSsthresh = 2.0;
 constexpr double kFallbackRttNs = 100.0 * kMicrosecond;
-}  // namespace
 
-template <class Engine>
-double TransportOps<Engine>::increase_per_ack(const Flow& f, const Subflow& sf) {
+// Congestion-avoidance per-ACK window increment (Reno or LIA-coupled).
+double increase_per_ack(const Flow& f, const Subflow& sf) {
   if (!f.mptcp || f.subflows.size() == 1) {
     return 1.0 / std::max(1.0, sf.cwnd);  // Reno: one packet per RTT
   }
@@ -33,9 +39,9 @@ double TransportOps<Engine>::increase_per_ack(const Flow& f, const Subflow& sf) 
   const double alpha = total * best_ratio2 / (sum_ratio * sum_ratio);
   return std::min(alpha / total, 1.0 / std::max(1.0, sf.cwnd));
 }
+}  // namespace
 
-template <class Engine>
-void TransportOps<Engine>::update_rtt(const Engine& sim, Subflow& sf, std::int64_t sample_ns) {
+void Simulator::Shard::update_rtt(Subflow& sf, std::int64_t sample_ns) const {
   if (sample_ns <= 0) return;
   const double r = static_cast<double>(sample_ns);
   if (sf.srtt_ns <= 0) {
@@ -46,13 +52,11 @@ void TransportOps<Engine>::update_rtt(const Engine& sim, Subflow& sf, std::int64
     sf.srtt_ns = 0.875 * sf.srtt_ns + 0.125 * r;
   }
   const double rto = sf.srtt_ns + 4.0 * sf.rttvar_ns;
-  sf.rto_ns = std::clamp(static_cast<TimeNs>(rto), sim.cfg_.min_rto_ns, sim.cfg_.max_rto_ns);
+  sf.rto_ns = std::clamp(static_cast<TimeNs>(rto), owner_.cfg_.min_rto_ns, owner_.cfg_.max_rto_ns);
 }
 
-template <class Engine>
-void TransportOps<Engine>::send_data(Engine& sim, int flow, int subflow, std::int32_t seq,
-                                     bool retransmit) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
+void Simulator::Shard::send_data(int flow, int subflow, std::int32_t seq, bool retransmit) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   Packet pkt;
   pkt.flow = flow;
@@ -60,16 +64,15 @@ void TransportOps<Engine>::send_data(Engine& sim, int flow, int subflow, std::in
   pkt.hop = 1;  // consumed index 0 below
   pkt.is_ack = false;
   pkt.seq = seq;
-  pkt.size_bytes = sim.cfg_.payload_bytes;
-  pkt.ts = sim.now_;
+  pkt.size_bytes = owner_.cfg_.payload_bytes;
+  pkt.ts = now_;
   ++sf.packets_sent;
   if (retransmit) ++sf.retransmits;
-  EngineOps<Engine>::enqueue_packet(sim, sf.data_path.front(), pkt);
+  enqueue_packet(sf.data_path.front(), pkt);
 }
 
-template <class Engine>
-void TransportOps<Engine>::send_ack(Engine& sim, const Packet& data) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(data.flow)];
+void Simulator::Shard::send_ack(const Packet& data) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(data.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(data.subflow)];
   Packet ack;
   ack.flow = data.flow;
@@ -77,14 +80,13 @@ void TransportOps<Engine>::send_ack(Engine& sim, const Packet& data) {
   ack.hop = 1;
   ack.is_ack = true;
   ack.seq = sf.rcv_next;  // cumulative
-  ack.size_bytes = sim.cfg_.ack_bytes;
+  ack.size_bytes = owner_.cfg_.ack_bytes;
   ack.ts = data.ts;  // echo the sender timestamp for RTT sampling
-  EngineOps<Engine>::enqueue_packet(sim, sf.ack_path.front(), ack);
+  enqueue_packet(sf.ack_path.front(), ack);
 }
 
-template <class Engine>
-void TransportOps<Engine>::arm_timer(Engine& sim, int flow, int subflow, bool rearm) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
+void Simulator::Shard::arm_timer(int flow, int subflow, bool rearm) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   if (sf.snd_una >= sf.snd_next) {
     // Nothing outstanding; invalidate any pending timer.
@@ -92,7 +94,7 @@ void TransportOps<Engine>::arm_timer(Engine& sim, int flow, int subflow, bool re
     sf.timer_armed = false;
     return;
   }
-  if (rearm || !sf.timer_armed) sf.timer_deadline = sim.now_ + sf.rto_ns;
+  if (rearm || !sf.timer_armed) sf.timer_deadline = now_ + sf.rto_ns;
   if (sf.timer_armed) return;  // the in-flight event will chase the deadline
   ++sf.timer_gen;
   sf.timer_armed = true;
@@ -103,12 +105,11 @@ void TransportOps<Engine>::arm_timer(Engine& sim, int flow, int subflow, bool re
   ev.a = flow;
   ev.b = subflow;
   ev.gen = sf.timer_gen;
-  sim.schedule_transport(std::move(ev));
+  events_.push(std::move(ev));
 }
 
-template <class Engine>
-void TransportOps<Engine>::try_send(Engine& sim, int flow, int subflow) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
+void Simulator::Shard::try_send(int flow, int subflow) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   const auto window = static_cast<std::int32_t>(std::max(1.0, std::floor(sf.cwnd)));
   // Retransmissions are exempt from the window gate (fast-retransmit
@@ -120,7 +121,7 @@ void TransportOps<Engine>::try_send(Engine& sim, int flow, int subflow) {
     const std::int32_t seq = *sf.lost_out.begin();
     sf.lost_out.erase(sf.lost_out.begin());
     if (seq < sf.snd_una) continue;  // already covered by a cumulative ACK
-    send_data(sim, flow, subflow, seq, /*retransmit=*/true);
+    send_data(flow, subflow, seq, /*retransmit=*/true);
   }
   // New data is pipe-gated: segments sent and not cumulatively acked count
   // as in flight (conservative during recovery — out-of-order arrivals are
@@ -128,15 +129,14 @@ void TransportOps<Engine>::try_send(Engine& sim, int flow, int subflow) {
   // Sized flows additionally stop offering sequences at limit_pkts.
   while (sf.snd_next - sf.snd_una < window &&
          (sf.limit_pkts < 0 || sf.snd_next < sf.limit_pkts)) {
-    send_data(sim, flow, subflow, sf.snd_next, /*retransmit=*/false);
+    send_data(flow, subflow, sf.snd_next, /*retransmit=*/false);
     ++sf.snd_next;
   }
-  arm_timer(sim, flow, subflow, /*rearm=*/false);
+  arm_timer(flow, subflow, /*rearm=*/false);
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_data(Engine& sim, const Packet& pkt) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(pkt.flow)];
+void Simulator::Shard::on_data(const Packet& pkt) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(pkt.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
   if (pkt.seq == sf.rcv_next) {
     std::int32_t advanced = 1;
@@ -148,21 +148,20 @@ void TransportOps<Engine>::on_data(Engine& sim, const Packet& pkt) {
       ++sf.rcv_next;
       ++advanced;
     }
-    const std::int64_t payload = static_cast<std::int64_t>(advanced) * sim.cfg_.payload_bytes;
+    const std::int64_t payload = static_cast<std::int64_t>(advanced) * owner_.cfg_.payload_bytes;
     f.delivered_bytes_total += payload;
-    if (sim.now_ >= sim.measure_start_ && sim.now_ < sim.measure_end_) {
+    if (now_ >= owner_.measure_start_ && now_ < owner_.measure_end_) {
       f.delivered_bytes_measured += payload;
     }
   } else if (pkt.seq > sf.rcv_next) {
     sf.ooo.insert(pkt.seq);  // hole: buffer and emit a duplicate ACK
   }
   // seq < rcv_next: spurious retransmission; still ACK (keeps sender sane).
-  send_ack(sim, pkt);
+  send_ack(pkt);
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_ack(Engine& sim, const Packet& pkt) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(pkt.flow)];
+void Simulator::Shard::on_ack(const Packet& pkt) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(pkt.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
   const std::int32_t ack = pkt.seq;
 
@@ -175,7 +174,7 @@ void TransportOps<Engine>::on_ack(Engine& sim, const Packet& pkt) {
     while (!sf.lost_out.empty() && *sf.lost_out.begin() < sf.snd_una) {
       sf.lost_out.erase(sf.lost_out.begin());
     }
-    update_rtt(sim, sf, sim.now_ - pkt.ts);
+    update_rtt(sf, now_ - pkt.ts);
 
     if (sf.cwnd < sf.ssthresh) {
       // Slow start, RFC 5681: grow by at most one segment per ACK (a
@@ -184,12 +183,12 @@ void TransportOps<Engine>::on_ack(Engine& sim, const Packet& pkt) {
     } else {
       sf.cwnd += increase_per_ack(f, sf) * acked;  // congestion avoidance
     }
-    arm_timer(sim, pkt.flow, pkt.subflow, /*rearm=*/true);
-    try_send(sim, pkt.flow, pkt.subflow);
+    arm_timer(pkt.flow, pkt.subflow, /*rearm=*/true);
+    try_send(pkt.flow, pkt.subflow);
     // Completion detection for sized flows: every sender field read here
     // lives at the flow's source endpoint, so the scan is single-shard safe.
     // The telemetry hook is idempotent and purely observational.
-    if (sim.telemetry_ && f.size_bytes > 0) {
+    if (owner_.telemetry_ && f.size_bytes > 0) {
       bool done = true;
       for (const Subflow& s : f.subflows) {
         if (s.limit_pkts < 0 || s.snd_una < s.limit_pkts) {
@@ -197,21 +196,20 @@ void TransportOps<Engine>::on_ack(Engine& sim, const Packet& pkt) {
           break;
         }
       }
-      if (done) sim.telemetry_->on_flow_complete(pkt.flow, sim.now_);
+      if (done) owner_.telemetry_->on_flow_complete(pkt.flow, now_);
     }
   }
   // Below-frontier (duplicate) ACKs carry no new information under oracle
   // SACK; loss signaling arrives via on_loss instead.
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_loss(Engine& sim, const Packet& pkt) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(pkt.flow)];
+void Simulator::Shard::on_loss(const Packet& pkt) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(pkt.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
   // Per-flow drop attribution: every notification corresponds to exactly
   // one dropped data packet, including "stale" ones whose sequence a later
   // cumulative ACK already covered — count before the staleness gate.
-  if (sim.telemetry_) sim.telemetry_->on_flow_drop(pkt.flow);
+  if (owner_.telemetry_) owner_.telemetry_->on_flow_drop(pkt.flow);
   if (pkt.seq < sf.snd_una) return;  // stale: already cumulatively acked
   sf.lost_out.insert(pkt.seq);
   // One multiplicative decrease per flight of data (recovery episode).
@@ -220,16 +218,15 @@ void TransportOps<Engine>::on_loss(Engine& sim, const Packet& pkt) {
     sf.cwnd = sf.ssthresh;
     sf.recover = sf.snd_next;
   }
-  try_send(sim, pkt.flow, pkt.subflow);  // refill the pipe (retransmit first)
-  arm_timer(sim, pkt.flow, pkt.subflow, /*rearm=*/false);
+  try_send(pkt.flow, pkt.subflow);  // refill the pipe (retransmit first)
+  arm_timer(pkt.flow, pkt.subflow, /*rearm=*/false);
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_timeout(Engine& sim, int flow, int subflow, std::uint32_t gen) {
-  Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
+void Simulator::Shard::on_timeout(int flow, int subflow, std::uint32_t gen) {
+  Flow& f = owner_.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   if (!sf.timer_armed || gen != sf.timer_gen) return;  // stale timer
-  if (sim.now_ < sf.timer_deadline) {
+  if (now_ < sf.timer_deadline) {
     // Deadline slid forward since this event was scheduled: chase it.
     Event ev;
     ev.time = sf.timer_deadline;
@@ -238,7 +235,7 @@ void TransportOps<Engine>::on_timeout(Engine& sim, int flow, int subflow, std::u
     ev.a = flow;
     ev.b = subflow;
     ev.gen = sf.timer_gen;
-    sim.schedule_transport(std::move(ev));
+    events_.push(std::move(ev));
     return;
   }
   sf.timer_armed = false;
@@ -248,15 +245,13 @@ void TransportOps<Engine>::on_timeout(Engine& sim, int flow, int subflow, std::u
   sf.ssthresh = std::max(sf.cwnd / 2.0, kMinSsthresh);
   sf.cwnd = 1.0;
   sf.recover = sf.snd_next;
-  sf.rto_ns = std::min(sf.rto_ns * 2, sim.cfg_.max_rto_ns);  // Karn backoff
+  sf.rto_ns = std::min(sf.rto_ns * 2, owner_.cfg_.max_rto_ns);  // Karn backoff
   // Go-back-N backstop: rewind and resend from the first unacked packet.
   sf.lost_out.clear();
   sf.snd_next = sf.snd_una;
-  send_data(sim, flow, subflow, sf.snd_next, /*retransmit=*/true);
+  send_data(flow, subflow, sf.snd_next, /*retransmit=*/true);
   ++sf.snd_next;
-  arm_timer(sim, flow, subflow, /*rearm=*/true);
+  arm_timer(flow, subflow, /*rearm=*/true);
 }
-
-template struct TransportOps<sharded::Shard>;
 
 }  // namespace jf::sim

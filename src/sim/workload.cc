@@ -7,8 +7,7 @@
 #include "common/stats.h"
 #include "flow/maxmin.h"
 #include "obs/trace.h"
-#include "sim/sharded/plan.h"
-#include "sim/sharded/sharded_sim.h"
+#include "sim/simulator.h"
 
 namespace jf::sim {
 
@@ -44,11 +43,11 @@ WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMa
   obs::Span span("sim.workload", "sim");
   span.arg("flows", static_cast<std::int64_t>(tm.flows.size()));
   span.arg("shards", cfg.shards);
-  std::optional<sharded::ShardPlan> plan;
+  std::optional<ShardPlan> plan;
   if (cfg.shards > 1 && topo.num_switches() > 1) {
-    plan = sharded::build_shard_plan(topo, cfg.shards, rng.fork(kShardPlanStream));
+    plan = build_shard_plan(topo, cfg.shards, rng.fork(kShardPlanStream));
   }
-  sharded::ShardedSimulator sim(cfg.sim, plan ? plan->num_shards : 1);
+  Simulator sim(cfg.sim, plan ? plan->num_shards : 1);
 
   const auto& g = topo.switches();
   flow::LinkIndex link_index(g);

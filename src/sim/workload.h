@@ -7,13 +7,13 @@
 // per-server and per-flow goodput under {TCP x n, MPTCP x k subflows} over
 // {ECMP-w, KSP-k} routing.
 //
-// One engine runs every workload: sharded::ShardedSimulator. With
+// One engine runs every workload: sim::Simulator (sim/simulator.h). With
 // cfg.shards == 1 it has a single shard, no cut links, and runs the whole
 // horizon as one round on the calling thread; with shards > 1 the link set
-// is partitioned (sharded::ShardPlan — per-switch KL domains, servers
-// pinned with their ToR) and the shards run in conservative-lookahead
-// rounds on workers borrowed from the caller's WorkBudget. Results are
-// byte-identical at any shard or worker count.
+// is partitioned (ShardPlan — per-switch KL domains, servers pinned with
+// their ToR) and the shards run in conservative-lookahead rounds on
+// workers borrowed from the caller's WorkBudget. Results are byte-identical
+// at any shard or worker count.
 #pragma once
 
 #include <vector>

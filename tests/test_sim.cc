@@ -3,7 +3,9 @@
 // properties.
 #include <gtest/gtest.h>
 
-#include "sim/sharded/sharded_sim.h"
+#include <vector>
+
+#include "sim/simulator.h"
 
 namespace jf::sim {
 namespace {
@@ -11,7 +13,7 @@ namespace {
 // Builds a minimal two-host dumbbell: host A -> link chain -> host B and the
 // reverse chain for ACKs. Returns {data_path, ack_path}.
 struct MiniNet {
-  sharded::ShardedSimulator sim;
+  Simulator sim;
   int up, down, rup, rdown;
   explicit MiniNet(SimConfig cfg = {}) : sim(cfg, 1) {
     up = sim.add_link(0);
@@ -50,7 +52,7 @@ TEST(SimCore, GoodputNeverExceedsLineRate) {
 
 TEST(SimCore, TwoFlowsShareFairly) {
   SimConfig cfg;
-  sharded::ShardedSimulator sim(cfg, 1);
+  Simulator sim(cfg, 1);
   // Distinct senders/receivers but one shared bottleneck link.
   int upA = sim.add_link(0), upB = sim.add_link(0);
   int shared = sim.add_link(0);
@@ -75,7 +77,7 @@ TEST(SimCore, TwoFlowsShareFairly) {
 
 TEST(SimCore, SlowLinkIsBottleneck) {
   SimConfig cfg;
-  sharded::ShardedSimulator sim(cfg, 1);
+  Simulator sim(cfg, 1);
   int up = sim.add_link(0);
   int slow =
       sim.add_link(0, cfg.link_rate_bps / 4.0, cfg.link_delay_ns, cfg.queue_capacity_pkts);
@@ -105,7 +107,7 @@ TEST(SimCore, DeliveredBytesMonotoneAndConservative) {
 
 TEST(SimCore, MptcpPoolsDisjointPaths) {
   SimConfig cfg;
-  sharded::ShardedSimulator sim(cfg, 1);
+  Simulator sim(cfg, 1);
   // Two fully disjoint unit paths between the same pair of hosts, with a
   // per-path sender NIC (models a dual-homed host): MPTCP should pool them.
   int upA = sim.add_link(0), downA = sim.add_link(0);
@@ -123,7 +125,7 @@ TEST(SimCore, MptcpPoolsDisjointPaths) {
 
 TEST(SimCore, MptcpIsFriendlyToTcpOnSharedBottleneck) {
   SimConfig cfg;
-  sharded::ShardedSimulator sim(cfg, 1);
+  Simulator sim(cfg, 1);
   // A 2-subflow MPTCP flow and a plain TCP flow share one bottleneck.
   // LIA coupling should keep MPTCP from taking much more than half.
   int upM = sim.add_link(0), upT = sim.add_link(0);
@@ -149,7 +151,7 @@ TEST(SimCore, MptcpIsFriendlyToTcpOnSharedBottleneck) {
 TEST(SimCore, DropsHappenUnderOverload) {
   SimConfig cfg;
   cfg.queue_capacity_pkts = 8;  // tiny queue forces losses
-  sharded::ShardedSimulator sim(cfg, 1);
+  Simulator sim(cfg, 1);
   int upA = sim.add_link(0), upB = sim.add_link(0);
   int shared = sim.add_link(0);
   int downA = sim.add_link(0), downB = sim.add_link(0);
@@ -177,13 +179,29 @@ TEST(SimCore, StartTimeDelaysFlow) {
 
 TEST(SimCore, ApiContracts) {
   SimConfig cfg;
-  sharded::ShardedSimulator sim(cfg, 1);
+  Simulator sim(cfg, 1);
   EXPECT_THROW(sim.add_link(0, -1.0, 0, 1), std::invalid_argument);
   int f = sim.add_flow(0, 1, false, 0, 0);
   EXPECT_THROW(sim.add_subflow(f, {}, {0}, 0), std::invalid_argument);
   EXPECT_THROW(sim.add_subflow(f, {99}, {0}, 0), std::invalid_argument);
   EXPECT_THROW(sim.set_measure_window(5, 5), std::invalid_argument);
   EXPECT_THROW(sim.flow(42), std::invalid_argument);
+}
+
+// Packets carry the subflow index and hop cursor as int16: a subflow that
+// would not fit is rejected up front instead of indexing out of bounds.
+TEST(SimCore, SubflowIndexAndPathLengthMustFitPacketFields) {
+  MiniNet net;
+  const int f = net.sim.add_flow(0, 1, /*mptcp=*/true, 0, 0);
+  for (int s = 0; s < 32768; ++s) net.sim.add_subflow(f, {net.up}, {net.rup}, 0);
+  EXPECT_THROW(net.sim.add_subflow(f, {net.up}, {net.rup}, 0), std::invalid_argument);
+  EXPECT_EQ(net.sim.flow(f).subflows.size(), 32768u);
+
+  const int g = net.sim.add_flow(0, 1, /*mptcp=*/false, 0, 0);
+  const std::vector<int> longest(32767, net.up), too_long(32768, net.up);
+  EXPECT_THROW(net.sim.add_subflow(g, too_long, {net.rup}, 0), std::invalid_argument);
+  EXPECT_THROW(net.sim.add_subflow(g, {net.up}, too_long, 0), std::invalid_argument);
+  net.sim.add_subflow(g, longest, longest, 0);
 }
 
 TEST(SimCore, DeterministicGivenSameSetup) {

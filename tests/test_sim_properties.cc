@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "sim/sharded/sharded_sim.h"
+#include "sim/simulator.h"
 #include "sim/workload.h"
 #include "topo/jellyfish.h"
 
@@ -63,7 +63,7 @@ TEST(SimInvariants, LinkTxNeverExceedsCapacity) {
   auto tm = traffic::random_permutation(topo.num_servers(), rng);
   // Rebuild the simulator manually to keep a handle on it.
   // (The workload API returns aggregates; this test drives the engine itself.)
-  sharded::ShardedSimulator sim(cfg.sim, 1);
+  Simulator sim(cfg.sim, 1);
   int l0 = sim.add_link(0);
   int l1 = sim.add_link(0);
   int r0 = sim.add_link(0);
@@ -84,7 +84,7 @@ TEST(SimInvariants, LinkTxNeverExceedsCapacity) {
 
 TEST(SimInvariants, NoTrafficNoEvents) {
   SimConfig cfg;
-  sharded::ShardedSimulator sim(cfg, 1);
+  Simulator sim(cfg, 1);
   sim.add_link(0);
   sim.set_measure_window(0, kMillisecond);
   sim.run_until(kMillisecond);  // no flows: must terminate instantly

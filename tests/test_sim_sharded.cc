@@ -11,8 +11,7 @@
 #include "eval/serialize.h"
 #include "eval/sweep.h"
 #include "obs/metrics.h"
-#include "sim/sharded/plan.h"
-#include "sim/sharded/sharded_sim.h"
+#include "sim/simulator.h"
 #include "sim/workload.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
@@ -129,7 +128,7 @@ TEST(ShardedSim, EveryShardCountIsMetered) {
 // forward cross link), shard 1 owns host B's side. Returns the engine ready
 // to run; `cross_delay` is the delay of both cut links.
 struct TwoShardNet {
-  sharded::ShardedSimulator sim;
+  Simulator sim;
   int flow;
   explicit TwoShardNet(SimConfig cfg, TimeNs cross_delay) : sim(cfg, 2) {
     const int up = sim.add_link(0);
@@ -145,7 +144,7 @@ struct TwoShardNet {
 
 // The one-shard twin of TwoShardNet: identical link ids and parameters.
 struct OneShardTwin {
-  sharded::ShardedSimulator sim;
+  Simulator sim;
   int flow;
   explicit OneShardTwin(SimConfig cfg, TimeNs cross_delay) : sim(cfg, 1) {
     const int up = sim.add_link(0);
@@ -185,7 +184,7 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
     // And regardless of round granularity, arrivals were never reordered:
     // the two-shard run reproduces the one-shard twin bit for bit. The twin
     // has no cut link, so it runs the whole horizon as one round.
-    EXPECT_EQ(twin.sim.lookahead_ns(), sharded::ShardedSimulator::kMaxTime);
+    EXPECT_EQ(twin.sim.lookahead_ns(), Simulator::kMaxTime);
     EXPECT_EQ(twin.sim.rounds(), 1);
     EXPECT_EQ(net.sim.flow(net.flow).delivered_bytes_total,
               twin.sim.flow(twin.flow).delivered_bytes_total);
@@ -211,7 +210,7 @@ TEST(ShardedSim, ZeroLatencyCutIsRejected) {
 
 TEST(ShardedSim, MisplacedFirstLinkIsRejected) {
   SimConfig cfg;
-  sharded::ShardedSimulator sim(cfg, 2);
+  Simulator sim(cfg, 2);
   const int up = sim.add_link(1);  // sender's first link in the wrong shard
   const int down = sim.add_link(1);
   const int rup = sim.add_link(1);
@@ -219,6 +218,16 @@ TEST(ShardedSim, MisplacedFirstLinkIsRejected) {
   const int f = sim.add_flow(0, 1, false, /*src_shard=*/0, /*dst_shard=*/1);
   sim.add_subflow(f, {up, down}, {rup, rdown}, 0);
   EXPECT_THROW(sim.run_until(kMillisecond), std::invalid_argument);
+
+  // Ack side: the receiver's first ack link lives outside its shard.
+  Simulator ack_sim(cfg, 2);
+  const int a_up = ack_sim.add_link(0);
+  const int a_down = ack_sim.add_link(1);
+  const int a_rup = ack_sim.add_link(0);  // receiver's first link in the wrong shard
+  const int a_rdown = ack_sim.add_link(0);
+  const int g = ack_sim.add_flow(0, 1, false, /*src_shard=*/0, /*dst_shard=*/1);
+  ack_sim.add_subflow(g, {a_up, a_down}, {a_rup, a_rdown}, 0);
+  EXPECT_THROW(ack_sim.run_until(kMillisecond), std::invalid_argument);
 }
 
 TEST(ShardedSim, LinkParametersAlwaysComeFromConfig) {
@@ -230,7 +239,7 @@ TEST(ShardedSim, LinkParametersAlwaysComeFromConfig) {
   cfg.link_delay_ns = 1234;
   cfg.queue_capacity_pkts = 9;
 
-  sharded::ShardedSimulator sharded(cfg, 2);
+  Simulator sharded(cfg, 2);
   const int hl = sharded.add_link(1);
   EXPECT_EQ(sharded.link(hl).rate_bps, cfg.link_rate_bps);
   EXPECT_EQ(sharded.link(hl).delay_ns, cfg.link_delay_ns);
@@ -242,14 +251,14 @@ TEST(ShardedSim, ShardPlanIsBalancedAndPinsServersWithToR) {
   Rng rng(5);
   auto topo = topo::build_jellyfish(
       {.num_switches = 16, .ports_per_switch = 8, .network_degree = 5}, rng);
-  auto plan = sharded::build_shard_plan(topo, 4, Rng(99));
+  auto plan = build_shard_plan(topo, 4, Rng(99));
   ASSERT_EQ(plan.num_shards, 4);
   ASSERT_EQ(plan.switch_shard.size(), 16u);
   std::vector<int> sizes(4, 0);
   for (int s : plan.switch_shard) ++sizes[static_cast<std::size_t>(s)];
   for (int s : sizes) EXPECT_EQ(s, 4);
   // More shards than switches clamps.
-  EXPECT_EQ(sharded::build_shard_plan(topo, 99, Rng(1)).num_shards, 16);
+  EXPECT_EQ(build_shard_plan(topo, 99, Rng(1)).num_shards, 16);
 }
 
 // Acceptance gate: every shipped packet-sim scenario is byte-identical
