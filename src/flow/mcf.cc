@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
+#include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -44,35 +46,67 @@ ArcGraph build_arcs(const graph::Graph& g, double capacity) {
   return a;
 }
 
-// Dijkstra under arc lengths; fills dist and parent-arc; early-exits once the
-// target is settled. Returns dist to `t` (infinity if unreachable). Ties in
-// the priority queue break on node id, so the parent forest — and therefore
-// the extracted path — depends only on the lengths, never on scheduling.
-double dijkstra(const ArcGraph& a, int s, int t, std::vector<double>& dist,
-                std::vector<int>& parent_arc) {
+// Per-slot scratch for the sweep's shortest-path trees, reused across
+// rounds so the sweep stays allocation-free after the first one. Each slot
+// sits on its own cache line: every tree writes its slot's vector headers
+// (assign, push_back), and without the alignment adjacent slots' headers
+// share lines — bench_mcf_scaling ran 1.2-1.5x slower at 2 and 4 threads
+// on a 4-core Xeon (false sharing).
+struct alignas(64) TreeScratch {
+  std::vector<double> dist;
+  std::vector<int> parent_arc;
+  std::vector<char> is_target;
+  std::vector<std::pair<double, int>> heap;
+};
+
+// Dijkstra from `s` under arc lengths; fills dist and parent-arc and stops
+// once every node in `targets` (duplicates allowed) is settled, or the
+// reachable set is exhausted. Returns the number of nodes settled. The heap
+// is ordered on (dist, node id), a total order, so the pop sequence up to
+// any target depends only on the lengths — never on the other targets or on
+// scheduling — and each target's parent chain is exactly the one a
+// single-target run would leave.
+int dijkstra(const ArcGraph& a, int s, std::span<const int> targets, TreeScratch& sc) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  dist.assign(static_cast<std::size_t>(a.num_nodes), kInf);
-  parent_arc.assign(static_cast<std::size_t>(a.num_nodes), -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[s] = 0.0;
-  pq.emplace(0.0, s);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == t) break;
+  const auto n = static_cast<std::size_t>(a.num_nodes);
+  sc.dist.assign(n, kInf);
+  sc.parent_arc.assign(n, -1);
+  sc.is_target.resize(n, 0);
+  int pending = 0;
+  for (int t : targets) {
+    if (!sc.is_target[t]) {
+      sc.is_target[t] = 1;
+      ++pending;
+    }
+  }
+  auto& heap = sc.heap;
+  heap.clear();
+  sc.dist[s] = 0.0;
+  heap.emplace_back(0.0, s);
+  int settled = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    if (d > sc.dist[u]) continue;
+    ++settled;
+    if (sc.is_target[u]) {
+      sc.is_target[u] = 0;
+      if (--pending == 0) break;
+    }
     for (int i = a.first[u]; i < a.first[u + 1]; ++i) {
       const int v = a.to[i];
       const double nd = d + a.len[i];
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parent_arc[v] = i;
-        pq.emplace(nd, v);
+      if (nd < sc.dist[v]) {
+        sc.dist[v] = nd;
+        sc.parent_arc[v] = i;
+        heap.emplace_back(nd, v);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
       }
     }
   }
-  return dist[t];
+  for (int t : targets) sc.is_target[t] = 0;  // unreachable targets stay marked
+  return settled;
 }
 
 }  // namespace
@@ -118,15 +152,26 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   static obs::Counter& obs_solves = obs::counter("mcf.solves");
   static obs::Counter& obs_phases = obs::counter("mcf.phases");
   static obs::Counter& obs_rounds = obs::counter("mcf.rounds");
+  static obs::Counter& obs_trees = obs::counter("mcf.trees");
+  static obs::Counter& obs_nodes_settled = obs::counter("mcf.nodes_settled");
   static obs::Distribution& obs_sweep_ns = obs::distribution("mcf.sweep_ns");
   static obs::Distribution& obs_apply_ns = obs::distribution("mcf.apply_ns");
   obs_solves.increment();
   obs::Span span("mcf.solve", "mcf");
   span.arg("commodities", static_cast<std::int64_t>(cs.size()));
 
+  // Some commodity has no path: no concurrent flow is possible, and lambda*
+  // = 0 is certified from both sides.
+  auto disconnected = [&]() {
+    result.lambda = 0.0;
+    result.lambda_upper = 0.0;
+    result.decided_below = opts.decide_threshold >= 0;
+    return result;
+  };
+
   ArcGraph a = build_arcs(g, opts.link_capacity);
   const std::size_t m = a.to.size();
-  if (m == 0) return result;  // no links: nothing routable
+  if (m == 0) return disconnected();  // no links: nothing routable
 
   // Source node of each CSR arc (for path extraction).
   std::vector<int> arc_src(m);
@@ -142,34 +187,86 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   const int num_cs = static_cast<int>(cs.size());
   std::vector<double> routed(cs.size(), 0.0);  // flow shipped per commodity
 
-  // Workers borrowed for the whole solve: every round's Dijkstra sweep runs
-  // on 1 + extra threads (extra may be 0 — same schedule, serial execution).
-  // Per-slot scratch keeps the sweeps allocation-free after the first round;
-  // per-commodity outputs (dists, paths) land in index-addressed slots, so
-  // nothing depends on which worker computed what.
-  parallel::WorkerTeam team(budget, num_cs - 1);
-  std::vector<std::vector<double>> dist_scratch(static_cast<std::size_t>(team.size()));
-  std::vector<std::vector<int>> parent_scratch(static_cast<std::size_t>(team.size()));
+  // Commodities grouped by source switch, whatever order they arrive in:
+  // group_of[j] is a dense id of commodity j's source, numbered by first
+  // appearance in canonical order; group_src maps it back to the switch.
+  std::vector<int> group_of(cs.size());
+  std::vector<int> group_src;
+  {
+    std::vector<int> group_of_node(static_cast<std::size_t>(a.num_nodes), -1);
+    for (std::size_t j = 0; j < cs.size(); ++j) {
+      int& gid = group_of_node[static_cast<std::size_t>(cs[j].src_switch)];
+      if (gid < 0) {
+        gid = static_cast<int>(group_src.size());
+        group_src.push_back(cs[j].src_switch);
+      }
+      group_of[j] = gid;
+    }
+  }
+  const int num_sources = static_cast<int>(group_src.size());
+
+  // Workers borrowed for the whole solve: every round's sweep runs one
+  // shortest-path tree per distinct source on 1 + extra threads (extra may
+  // be 0 — same schedule, serial execution). Per-commodity outputs (dists,
+  // paths) land in index-addressed slots, so nothing depends on which
+  // worker computed what.
+  parallel::WorkerTeam team(budget, num_sources - 1);
+  std::vector<TreeScratch> scratch(static_cast<std::size_t>(team.size()));
   std::vector<double> dists(cs.size(), 0.0);
   std::vector<std::vector<int>> paths(cs.size());
+
+  // One sweep's trees: tree k is rooted at switch tree_root[k] and serves
+  // commodities tree_members[tree_first[k] .. tree_first[k+1]), in
+  // canonical order; tree_targets holds their destination switches.
+  std::vector<int> group_fill(static_cast<std::size_t>(num_sources) + 1);
+  std::vector<int> tree_root;
+  std::vector<int> tree_first;
+  std::vector<int> tree_members;
+  std::vector<int> tree_targets;
 
   // Shortest path for every listed commodity against the *current* lengths,
   // which the caller must keep frozen for the duration of the sweep.
   auto sweep = [&](const std::vector<int>& js) {
     obs::ScopedTimer sweep_timer(obs_sweep_ns);
-    team.run(static_cast<int>(js.size()), [&](int k, int slot) {
-      const int j = js[static_cast<std::size_t>(k)];
-      const Commodity& c = cs[static_cast<std::size_t>(j)];
-      auto& parent = parent_scratch[static_cast<std::size_t>(slot)];
-      const double d =
-          dijkstra(a, c.src_switch, c.dst_switch, dist_scratch[static_cast<std::size_t>(slot)],
-                   parent);
-      dists[static_cast<std::size_t>(j)] = d;
-      auto& path = paths[static_cast<std::size_t>(j)];
-      path.clear();
-      if (std::isfinite(d)) {
-        for (int cur = c.dst_switch; parent[cur] != -1; cur = arc_src[parent[cur]]) {
-          path.push_back(parent[cur]);
+    // Stable counting sort of js by source group.
+    std::fill(group_fill.begin(), group_fill.end(), 0);
+    for (int j : js) ++group_fill[static_cast<std::size_t>(group_of[j]) + 1];
+    tree_root.clear();
+    tree_first.clear();
+    for (int gid = 0; gid < num_sources; ++gid) {
+      const auto gi = static_cast<std::size_t>(gid);
+      if (group_fill[gi + 1] > 0) {
+        tree_root.push_back(group_src[gi]);
+        tree_first.push_back(group_fill[gi]);
+      }
+      group_fill[gi + 1] += group_fill[gi];
+    }
+    tree_first.push_back(static_cast<int>(js.size()));
+    tree_members.resize(js.size());
+    tree_targets.resize(js.size());
+    for (int j : js) {
+      const int pos = group_fill[static_cast<std::size_t>(group_of[j])]++;
+      tree_members[static_cast<std::size_t>(pos)] = j;
+      tree_targets[static_cast<std::size_t>(pos)] = cs[static_cast<std::size_t>(j)].dst_switch;
+    }
+
+    team.run(static_cast<int>(tree_root.size()), [&](int k, int slot) {
+      const auto ki = static_cast<std::size_t>(k);
+      const auto first = static_cast<std::size_t>(tree_first[ki]);
+      const auto count = static_cast<std::size_t>(tree_first[ki + 1]) - first;
+      auto& sc = scratch[static_cast<std::size_t>(slot)];
+      const int settled = dijkstra(
+          a, tree_root[ki], std::span<const int>(tree_targets).subspan(first, count), sc);
+      obs_trees.increment();
+      obs_nodes_settled.add(settled);
+      for (std::size_t q = first; q < first + count; ++q) {
+        const int j = tree_members[q];
+        const int t = tree_targets[q];
+        dists[static_cast<std::size_t>(j)] = sc.dist[static_cast<std::size_t>(t)];
+        auto& path = paths[static_cast<std::size_t>(j)];
+        path.clear();
+        for (int cur = t; sc.parent_arc[cur] != -1; cur = arc_src[sc.parent_arc[cur]]) {
+          path.push_back(sc.parent_arc[cur]);
         }
       }
     });
@@ -193,8 +290,8 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
 
   // LP-duality upper bound: lambda* <= D(l)/alpha(l) for any lengths l, with
   // D = sum_e len*cap and alpha = sum_j demand_j * dist_j(l). Costs one
-  // Dijkstra sweep (parallel across commodities; the alpha reduction runs in
-  // canonical commodity order), so it is evaluated periodically.
+  // sweep (one tree per source, parallel across sources; the alpha reduction
+  // runs in canonical commodity order), so it is evaluated periodically.
   auto dual_upper = [&]() {
     double D = 0.0;
     for (std::size_t i = 0; i < m; ++i) D += a.len[i] * a.cap[i];
@@ -220,9 +317,10 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
 
   for (int phase = 0; phase < opts.max_phases; ++phase) {
     // Epoch-batched rounds: freeze the lengths, find every active
-    // commodity's shortest path in parallel, then route and update lengths
-    // serially in canonical commodity order. The schedule — and thus every
-    // arithmetic operation — is identical at any worker count.
+    // commodity's shortest path in parallel (one tree per source), then
+    // route and update lengths serially in canonical commodity order. The
+    // schedule — and thus every arithmetic operation — is identical at any
+    // worker count.
     for (std::size_t j = 0; j < cs.size(); ++j) remaining[j] = cs[j].demand;
     active = all_commodities;
     while (!active.empty()) {
@@ -232,13 +330,7 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
       still_active.clear();
       for (int j : active) {
         const std::size_t ji = static_cast<std::size_t>(j);
-        if (!std::isfinite(dists[ji])) {
-          // Disconnected commodity: no concurrent flow is possible.
-          result.lambda = 0.0;
-          result.lambda_upper = 0.0;
-          result.decided_below = opts.decide_threshold >= 0;
-          return result;
-        }
+        if (!std::isfinite(dists[ji])) return disconnected();
         const auto& path = paths[ji];
         double bottleneck = std::numeric_limits<double>::infinity();
         for (int arc : path) bottleneck = std::min(bottleneck, a.cap[arc]);

@@ -13,13 +13,17 @@
 // supported at full capacity", Fig. 2(c)/11).
 //
 // The routing loop is epoch-batched (Fleischer-style): each round freezes
-// the arc lengths, computes every active commodity's shortest path — an
-// embarrassingly parallel Dijkstra sweep executed on workers borrowed from
-// an optional parallel::WorkBudget — and then applies flow and length
-// updates in canonical commodity order on one thread. Both certificates
-// hold for *any* length function, so batching never invalidates the bounds,
-// and because the schedule of rounds is independent of the worker count the
-// solver returns bit-identical results at every thread count.
+// the arc lengths and sweeps one shortest-path tree per distinct source —
+// a Dijkstra that stops once all of that source's active targets are
+// settled, run in parallel across sources on workers borrowed from an
+// optional parallel::WorkBudget — extracts every active commodity's path
+// from its source's tree, and then applies flow and length updates in
+// canonical commodity order on one thread. The tree's heap is ordered on
+// (dist, node id), so each commodity's path is exactly the one a
+// single-target Dijkstra would find. Both certificates hold for *any*
+// length function, so batching never invalidates the bounds, and because
+// the schedule of rounds is independent of the worker count the solver
+// returns bit-identical results at every thread count.
 #pragma once
 
 #include <limits>
@@ -67,8 +71,8 @@ double gk_initial_length(std::size_t num_arcs, double epsilon, double capacity);
 // Commodities with zero demand are ignored; an empty commodity set yields
 // lambda = infinity clamped to 1e9.
 //
-// `budget` (optional) lends extra worker threads to the per-round Dijkstra
-// sweeps; results are bit-identical with or without it.
+// `budget` (optional) lends extra worker threads to the per-round
+// per-source tree sweeps; results are bit-identical with or without it.
 McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> commodities,
                               const McfOptions& opts = {},
                               parallel::WorkBudget* budget = nullptr);

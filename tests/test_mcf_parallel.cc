@@ -1,17 +1,21 @@
 // flow/mcf: decision mode (decide_threshold certificates), disconnected
-// commodities, the log-space initial-length fix for tiny epsilon, and
+// commodities, the log-space initial-length fix for tiny epsilon,
 // bit-identity of the parallel solver vs the serial path at several thread
-// counts.
+// counts, golden values pinned against the per-commodity-Dijkstra solver,
+// and the per-source tree work counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "flow/mcf.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
@@ -65,6 +69,111 @@ TEST(McfParallel, DecisionModeBitIdenticalAcrossThreadCounts) {
 
 // A path 0 - 1 - 2 with both 0->2 and 1->2 at unit demand: arc 1->2 carries
 // both commodities, so lambda* = 0.5 exactly.
+// Golden results, recorded as hexfloats from the solver that ran one
+// early-exit Dijkstra per commodity. One tree per source must reproduce them
+// bit for bit: the heap order (dist, node id) makes the pop sequence up to a
+// target independent of the tree's other targets. Comparing the solver only
+// against itself at other thread counts cannot catch a grouping bug that
+// shifts every thread count alike; these pins can.
+struct Golden {
+  double lambda;
+  double lambda_upper;
+  int phases;
+  bool decided_above;
+  bool decided_below;
+};
+
+void expect_golden(const graph::Graph& g, const std::vector<Commodity>& cs,
+                   const McfOptions& opts, const Golden& want) {
+  for (int threads : {1, 4}) {
+    const auto res = solve_with_threads(g, cs, opts, threads);
+    EXPECT_EQ(res.lambda, want.lambda) << threads;
+    EXPECT_EQ(res.lambda_upper, want.lambda_upper) << threads;
+    EXPECT_EQ(res.phases, want.phases) << threads;
+    EXPECT_EQ(res.decided_above, want.decided_above) << threads;
+    EXPECT_EQ(res.decided_below, want.decided_below) << threads;
+  }
+}
+
+// Five switches: a ring 0-1-2-3-4-0 plus chords 0-2 and 1-3.
+graph::Graph ring_with_chords() {
+  graph::Graph g(5);
+  for (auto [u, v] : {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2}, {1, 3}}) {
+    g.add_edge(u, v);
+  }
+  return g;
+}
+
+TEST(McfGolden, JellyfishPermutation) {
+  Rng rng(42);
+  auto topo = topo::build_jellyfish(
+      {.num_switches = 30, .ports_per_switch = 10, .network_degree = 6}, rng);
+  auto tm = traffic::random_permutation(topo.num_servers(), rng);
+  auto cs = traffic::to_switch_commodities(topo, tm);
+  ASSERT_EQ(cs.size(), 113u);
+  expect_golden(topo.switches(), cs, {},
+                {0x1.4f0f0f0f0f0f1p-1, 0x1.6baee258b43c5p-1, 100, false, false});
+}
+
+TEST(McfGolden, FatTreeK4) {
+  auto ft = topo::build_fattree(4);
+  Rng rng(7);
+  auto tm = traffic::random_permutation(ft.num_servers(), rng);
+  auto cs = traffic::to_switch_commodities(ft, tm);
+  ASSERT_EQ(cs.size(), 14u);
+  expect_golden(ft.switches(), cs, {},
+                {0x1.f89467e2519f9p-1, 0x1.133c97c78fa42p+0, 70, false, false});
+}
+
+TEST(McfGolden, InterleavedSourcesAndRepeatedPair) {
+  // Sources arrive interleaved (0, 1, 0, 0, 4), and (0, 3) appears twice,
+  // so one tree serves a target listed twice.
+  const std::vector<Commodity> cs = {
+      {0, 3, 1.0}, {1, 2, 1.0}, {0, 2, 1.0}, {0, 3, 0.5}, {4, 1, 0.75}};
+  expect_golden(ring_with_chords(), cs, {},
+                {0x1.c71c71c71c71cp-1, 0x1.5c978c9beb213p+0, 20, false, false});
+}
+
+TEST(McfGolden, DecisionModeFatTree) {
+  auto ft = topo::build_fattree(4);
+  Rng rng(7);
+  auto tm = traffic::random_permutation(ft.num_servers(), rng);
+  auto cs = traffic::to_switch_commodities(ft, tm);
+  McfOptions opts;
+  opts.decide_threshold = 0.9;
+  expect_golden(ft.switches(), cs, opts,
+                {0x1.d1745d1745d17p-1, 0x1.1af60faf07999p+0, 10, true, false});
+}
+
+// One phase on the ring: every commodity fits its first path (demand <=
+// capacity), so the solve is one round plus the closing dual sweep. Each
+// sweep grows one tree per distinct source (0, 1, 4), not one per commodity.
+TEST(McfWork, OneTreePerSourcePerSweep) {
+  const std::vector<Commodity> cs = {
+      {0, 3, 1.0}, {1, 2, 1.0}, {0, 2, 1.0}, {0, 3, 0.5}, {4, 1, 0.75}};
+  McfOptions opts;
+  opts.max_phases = 1;
+  obs::Counter& rounds = obs::counter("mcf.rounds");
+  obs::Counter& trees = obs::counter("mcf.trees");
+  obs::Counter& settled = obs::counter("mcf.nodes_settled");
+  for (int threads : {1, 4}) {
+    const std::int64_t rounds0 = rounds.value();
+    const std::int64_t trees0 = trees.value();
+    const std::int64_t settled0 = settled.value();
+    obs::set_metrics_enabled(true);
+    const auto res = solve_with_threads(ring_with_chords(), cs, opts, threads);
+    obs::set_metrics_enabled(false);
+    EXPECT_EQ(res.phases, 1) << threads;
+    EXPECT_EQ(rounds.value() - rounds0, 1) << threads;
+    EXPECT_EQ(trees.value() - trees0, 2 * 3) << threads;
+    // Every tree settles at least its root and its targets, never more
+    // than the whole graph.
+    const std::int64_t nodes = settled.value() - settled0;
+    EXPECT_GE(nodes, 2 * (3 + 2 + 2 + 2)) << threads;
+    EXPECT_LE(nodes, 2 * 3 * 5) << threads;
+  }
+}
+
 TEST(McfDecision, DecidesAboveAndBelowWithCertificates) {
   graph::Graph g(3);
   g.add_edge(0, 1);
@@ -120,6 +229,19 @@ TEST(McfDisconnected, UnreachableCommodityYieldsZeroLambda) {
   const auto parallel = solve_with_threads(g, cs, {}, 8);
   EXPECT_EQ(parallel.lambda, 0.0);
   EXPECT_EQ(parallel.lambda_upper, 0.0);
+
+  // No links at all (e.g. every cable failed): the same certificate.
+  const graph::Graph edgeless(3);
+  const std::vector<Commodity> lone = {{0, 1, 1.0}};
+  const auto none = max_concurrent_flow(edgeless, lone, {});
+  EXPECT_EQ(none.lambda, 0.0);
+  EXPECT_EQ(none.lambda_upper, 0.0);
+  EXPECT_FALSE(none.decided_below);
+  const auto none_decided = max_concurrent_flow(edgeless, lone, decide);
+  EXPECT_EQ(none_decided.lambda, 0.0);
+  EXPECT_EQ(none_decided.lambda_upper, 0.0);
+  EXPECT_TRUE(none_decided.decided_below);
+  EXPECT_FALSE(none_decided.decided_above);
 }
 
 TEST(GkInitialLength, MatchesPowWherePowIsSafe) {
