@@ -1,16 +1,20 @@
 // Microbenchmarks (google-benchmark) for the core computational kernels:
-// RRG construction, expansion splicing, APSP, Yen k-shortest paths, Dinic
-// max-flow, Garg-Könemann MCF, and the packet simulator's event throughput.
+// RRG construction, expansion splicing, APSP, Yen k-shortest paths, KL
+// bisection, the Clos upgrade search, Dinic max-flow, Garg-Könemann MCF, and
+// the packet simulator's event throughput.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "expansion/clos.h"
+#include "expansion/cost_model.h"
 #include "flow/mcf.h"
 #include "flow/throughput.h"
 #include "graph/algorithms.h"
 #include "graph/maxflow.h"
+#include "graph/partition.h"
 #include "graph/yen.h"
 #include "sim/workload.h"
 #include "topo/jellyfish.h"
@@ -66,6 +70,33 @@ void BM_YenKShortest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_YenKShortest);
+
+// The KL estimate behind the non-uniform `bisection` metric: 982 servers on
+// 195 twelve-port switches leave the network degree irregular.
+void BM_KernighanLin(benchmark::State& state) {
+  jf::Rng rng(8);
+  auto topo = jf::topo::build_jellyfish_with_servers(195, 12, 982, rng);
+  for (auto _ : state) {
+    auto cut = jf::graph::min_bisection_estimate(topo.switches(), rng, 5);
+    benchmark::DoNotOptimize(cut.cut_edges);
+  }
+  state.SetLabel("195 switches, 5 restarts");
+}
+BENCHMARK(BM_KernighanLin)->Unit(benchmark::kMillisecond);
+
+// The first Clos step of the Fig. 7 arc: the best 34-switch, 24-port folded
+// Clos for 480 servers, upgraded to host 720 within 35000.
+void BM_ClosUpgrade(benchmark::State& state) {
+  const jf::expansion::ClosConfig cur{27, 7, 18, 24};
+  const jf::expansion::CostModel costs;
+  for (auto _ : state) {
+    double spent = 0.0;
+    auto next = jf::expansion::best_clos_upgrade(cur, 720, 35000.0, costs, &spent);
+    benchmark::DoNotOptimize(next.edge);
+    benchmark::DoNotOptimize(spent);
+  }
+}
+BENCHMARK(BM_ClosUpgrade)->Unit(benchmark::kMillisecond);
 
 void BM_DinicMaxflow(benchmark::State& state) {
   jf::Rng rng(5);

@@ -30,20 +30,48 @@ std::map<std::pair<int, int>, int> clos_cables(const ClosConfig& cfg) {
   return cables;
 }
 
+namespace {
+
+// One edge row of the round-robin cable grid, walked spine by spine. Edge
+// e's uplinks take the u consecutive slots e*u .. e*u+u-1 mod S, so spine s
+// gets floor(u/S) of them plus one more iff ((s - e*u) mod S) < u mod S.
+struct CableRow {
+  CableRow(const ClosConfig& cfg, int e) : spine(cfg.spine) {
+    if (cfg.up() <= 0 || spine <= 0) return;  // no cables
+    q = cfg.up() / spine;
+    r = cfg.up() % spine;
+    offset = static_cast<int>((spine - static_cast<long long>(e) * cfg.up() % spine) % spine);
+  }
+  // count(e, s) for s = 0, 1, ... on successive calls.
+  int next() {
+    const int count = s < spine ? q + (offset < r ? 1 : 0) : 0;
+    ++s;
+    if (++offset == spine) offset = 0;
+    return count;
+  }
+  int spine, q = 0, r = 0, offset = 0, s = 0;
+};
+
+}  // namespace
+
 std::pair<int, int> cable_delta(const ClosConfig& from, const ClosConfig& to) {
-  auto a = clos_cables(from);
-  auto b = clos_cables(to);
   int added = 0, removed = 0;
-  for (const auto& [key, count] : b) {
-    auto it = a.find(key);
-    const int have = it == a.end() ? 0 : it->second;
-    added += std::max(0, count - have);
+  // Edge rows both configurations have: compare cell by cell over the
+  // union of spines.
+  const int from_edges = std::max(0, from.edge), to_edges = std::max(0, to.edge);
+  const int rows = std::min(from_edges, to_edges);
+  const int cols = std::max(from.spine, to.spine);
+  for (int e = 0; e < rows; ++e) {
+    CableRow have(from, e), want(to, e);
+    for (int s = 0; s < cols; ++s) {
+      const int diff = want.next() - have.next();
+      if (diff > 0) added += diff;
+      else removed -= diff;
+    }
   }
-  for (const auto& [key, count] : a) {
-    auto it = b.find(key);
-    const int want = it == b.end() ? 0 : it->second;
-    removed += std::max(0, count - want);
-  }
+  // Edge rows only one side has: all of that edge's uplinks differ.
+  added += (to_edges - rows) * std::max(0, to.up());
+  removed += (from_edges - rows) * std::max(0, from.up());
   return {added, removed};
 }
 

@@ -43,7 +43,10 @@ struct ClosConfig {
 // The multiset of (edge, spine) cables under round-robin uplink spreading.
 std::map<std::pair<int, int>, int> clos_cables(const ClosConfig& cfg);
 
-// Cables that differ between two configurations: {added, removed}.
+// Cables that differ between two configurations: {added, removed}. Equal
+// to comparing the two clos_cables() multisets, but computed from the
+// closed form count(e, s) = floor(u/S) + [((s - e*u) mod S) < u mod S]
+// without allocating: O(min(E, E') * max(S, S')) per call.
 std::pair<int, int> cable_delta(const ClosConfig& from, const ClosConfig& to);
 
 // Materializes the Clos as a Topology (for KL-based bisection scoring and

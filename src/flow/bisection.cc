@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "graph/partition.h"
@@ -64,17 +63,21 @@ std::size_t fattree_min_ports_full_bisection(int servers, std::span<const int> p
 double estimated_normalized_bisection(const topo::Topology& topo, Rng& rng, int restarts) {
   const auto& g = topo.switches();
   check(g.num_nodes() >= 2, "estimated_normalized_bisection: need >= 2 switches");
+  check(topo.num_servers() > 0, "estimated_normalized_bisection: need servers");
   auto result = graph::min_bisection_estimate(g, rng, restarts);
 
   // Count the servers on each side; normalize by the lighter side (the
   // bandwidth the cut must carry per paper convention is per-partition).
+  // A cut that leaves every server on one side has no lighter side to
+  // speak of; it is normalized by half the servers, the convention
+  // rrg_normalized_bisection uses.
   double servers_a = 0, servers_b = 0;
   for (topo::NodeId sw = 0; sw < topo.num_switches(); ++sw) {
     if (result.side[sw]) servers_a += topo.servers_at(sw);
     else servers_b += topo.servers_at(sw);
   }
-  const double denom = std::min(servers_a, servers_b);
-  if (denom <= 0) return std::numeric_limits<double>::infinity();
+  double denom = std::min(servers_a, servers_b);
+  if (denom <= 0) denom = (servers_a + servers_b) / 2.0;
   return static_cast<double>(result.cut_edges) / denom;
 }
 

@@ -43,8 +43,9 @@ std::size_t jellyfish_min_ports_full_bisection(int servers, int ports_per_switch
 std::size_t fattree_min_ports_full_bisection(int servers, std::span<const int> port_choices);
 
 // Concrete-topology estimate: best KL cut over `restarts` restarts,
-// normalized by the servers in the lighter partition. Works for irregular
-// and expanded topologies (Fig. 7 scoring).
+// normalized by the servers in the lighter partition, or by half of all
+// servers when one side hosts none. Works for irregular and expanded
+// topologies (Fig. 7 scoring). Throws if the topology hosts no servers.
 double estimated_normalized_bisection(const topo::Topology& topo, Rng& rng, int restarts = 5);
 
 }  // namespace jf::flow

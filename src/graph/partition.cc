@@ -1,6 +1,7 @@
 #include "graph/partition.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -29,35 +30,39 @@ int d_value(const Graph& g, const std::vector<bool>& side, NodeId v) {
 
 }  // namespace
 
-namespace {
-
-// One KL run with |A| pinned to `target_a` (the classic algorithm keeps the
-// side sizes fixed because it only ever swaps pairs).
-BisectionResult kl_run(const Graph& g, Rng& rng, int target_a);
-
-}  // namespace
-
 BisectionResult kernighan_lin_bisection(const Graph& g, Rng& rng) {
   const int n = g.num_nodes();
   check(n >= 2, "kernighan_lin_bisection: need >= 2 nodes");
-  return kl_run(g, rng, (n + 1) / 2);
+  return kernighan_lin_bisection(g, rng, (n + 1) / 2);
 }
 
-namespace {
-
-BisectionResult kl_run(const Graph& g, Rng& rng, int target_a) {
+BisectionResult kernighan_lin_bisection(const Graph& g, Rng& rng, int size_a) {
   const int n = g.num_nodes();
-  ensure(target_a >= 1 && target_a < n, "kl_run: bad target size");
+  check(size_a >= 1 && size_a < n, "kernighan_lin_bisection: bad side size");
 
-  // Random start with |A| = target_a.
+  // Random start with |A| = size_a.
   std::vector<NodeId> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
   std::vector<bool> side(static_cast<std::size_t>(n), false);
-  for (int i = 0; i < target_a; ++i) side[order[i]] = true;
+  for (int i = 0; i < size_a; ++i) side[order[i]] = true;
 
   // KL passes: greedily swap the best (a, b) pair, lock both, keep the best
   // prefix of swaps; repeat while a pass improves the cut.
+  //
+  // The swap rule is exact: the largest d[a] + d[b] - 2*w(a, b), ties to the
+  // smallest a, then the smallest b. Each step buckets the unlocked B nodes
+  // by d (ascending id within a bucket), so a's best non-neighbour is the
+  // first unmarked node of the highest bucket that has one; a's <= Δ
+  // neighbours are scored directly. A step is O(n·Δ), a pass O(n²·Δ).
+  const int dmax = g.max_degree();  // |d[v]| <= deg(v) throughout a pass
+  const int nbuckets = 2 * dmax + 1;
+  std::vector<int> bucket_start(static_cast<std::size_t>(nbuckets) + 1);
+  std::vector<int> cursor(static_cast<std::size_t>(nbuckets));
+  std::vector<NodeId> bucketed(static_cast<std::size_t>(n));
+  // mark[v] == a iff v neighbours a: a marks its neighbours before it scans
+  // the buckets, and the graph never changes, so stale marks stay true.
+  std::vector<NodeId> mark(static_cast<std::size_t>(n), -1);
   bool improved = true;
   while (improved) {
     improved = false;
@@ -67,34 +72,72 @@ BisectionResult kl_run(const Graph& g, Rng& rng, int target_a) {
 
     std::vector<std::pair<NodeId, NodeId>> swaps;
     std::vector<int> gains;
-    const int pairs = std::min(target_a, n - target_a);
+    const int pairs = std::min(size_a, n - size_a);
     for (int step = 0; step < pairs; ++step) {
+      // Counting sort of the unlocked B nodes by d, stable in id.
+      std::fill(bucket_start.begin(), bucket_start.end(), 0);
+      for (NodeId b = 0; b < n; ++b) {
+        if (!locked[b] && !side[b]) ++bucket_start[d[b] + dmax + 1];
+      }
+      for (int i = 0; i < nbuckets; ++i) bucket_start[i + 1] += bucket_start[i];
+      std::copy(bucket_start.begin(), bucket_start.end() - 1, cursor.begin());
+      int top = -1;  // highest non-empty bucket
+      for (NodeId b = 0; b < n; ++b) {
+        if (locked[b] || side[b]) continue;
+        const int i = d[b] + dmax;
+        bucketed[static_cast<std::size_t>(cursor[i]++)] = b;
+        top = std::max(top, i);
+      }
+
       int best_gain = std::numeric_limits<int>::min();
       NodeId best_a = -1, best_b = -1;
       for (NodeId a = 0; a < n; ++a) {
         if (locked[a] || !side[a]) continue;
-        for (NodeId b = 0; b < n; ++b) {
-          if (locked[b] || side[b]) continue;
-          int w = g.has_edge(a, b) ? 1 : 0;
-          int gain = d[a] + d[b] - 2 * w;
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_a = a;
-            best_b = b;
+        // No b scores above the top bucket; an equal gain loses to an
+        // earlier a.
+        if (top < 0 || (best_a != -1 && d[a] + top - dmax <= best_gain)) continue;
+        int score = std::numeric_limits<int>::min();  // best d[b] - 2*w(a, b)
+        NodeId pick = -1;
+        for (NodeId u : g.neighbors(a)) {
+          mark[u] = a;
+          if (locked[u] || side[u]) continue;
+          const int su = d[u] - 2;
+          if (su > score || (su == score && u < pick)) {
+            score = su;
+            pick = u;
           }
+        }
+        for (int i = top; i >= 0; --i) {
+          if (i - dmax < score) break;  // no better non-neighbour remains
+          const int lo = bucket_start[i], hi = bucket_start[i + 1];
+          int j = lo;
+          while (j < hi && mark[bucketed[static_cast<std::size_t>(j)]] == a) ++j;
+          if (j == hi) continue;
+          const NodeId b = bucketed[static_cast<std::size_t>(j)];
+          if (i - dmax > score || b < pick) {
+            score = i - dmax;
+            pick = b;
+          }
+          break;
+        }
+        if (pick == -1) continue;
+        const int gain = d[a] + score;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_a = a;
+          best_b = pick;
         }
       }
       if (best_a == -1) break;
       locked[best_a] = locked[best_b] = 1;
       swaps.emplace_back(best_a, best_b);
       gains.push_back(best_gain);
-      // Update D-values of unlocked nodes as if the swap was applied.
-      for (NodeId v = 0; v < n; ++v) {
-        if (locked[v]) continue;
-        int delta = 0;
-        if (g.has_edge(v, best_a)) delta += side[v] == side[best_a] ? 2 : -2;
-        if (g.has_edge(v, best_b)) delta += side[v] == side[best_b] ? 2 : -2;
-        d[v] += delta;
+      // Update D-values of unlocked nodes as if the swap was applied; only
+      // neighbours of the swapped pair change.
+      for (NodeId x : {best_a, best_b}) {
+        for (NodeId v : g.neighbors(x)) {
+          if (!locked[v]) d[v] += side[v] == side[x] ? 2 : -2;
+        }
       }
     }
 
@@ -118,8 +161,6 @@ BisectionResult kl_run(const Graph& g, Rng& rng, int target_a) {
 
   return BisectionResult{side, cut_size(g, side)};
 }
-
-}  // namespace
 
 BisectionResult min_bisection_estimate(const Graph& g, Rng& rng, int restarts) {
   check(restarts >= 1, "min_bisection_estimate: restarts must be >= 1");
@@ -178,9 +219,9 @@ std::vector<int> balanced_partition(const Graph& g, int k, Rng& rng, int restart
       }
     }
 
-    BisectionResult best = kl_run(sub, rng, target_a);
+    BisectionResult best = kernighan_lin_bisection(sub, rng, target_a);
     for (int r = 1; r < restarts; ++r) {
-      BisectionResult cand = kl_run(sub, rng, target_a);
+      BisectionResult cand = kernighan_lin_bisection(sub, rng, target_a);
       if (cand.cut_edges < best.cut_edges) best = std::move(cand);
     }
 

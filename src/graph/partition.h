@@ -20,8 +20,20 @@ struct BisectionResult {
   std::size_t cut_edges = 0;  // edges crossing the partition
 };
 
+// KL contract (every entry point below): each step swaps the unlocked pair
+// (a in A, b in B) with the largest gain d[a] + d[b] - 2*w(a, b), ties to
+// the smallest a, then the smallest b; a pass keeps the best prefix of its
+// swaps. One pass costs O(n²·Δ) for n nodes of maximum degree Δ (bucketed
+// selection, neighbour-only D updates). The rng is drawn only for the
+// random start, so outputs and rng state are fixed by the graph, the sizes
+// and the seed.
+
 // One KL run from a random balanced start. |A| = ceil(N/2).
 BisectionResult kernighan_lin_bisection(const Graph& g, Rng& rng);
+
+// One KL run with |A| pinned to `size_a` (1 <= size_a < N); swaps keep the
+// side sizes fixed.
+BisectionResult kernighan_lin_bisection(const Graph& g, Rng& rng, int size_a);
 
 // Best of `restarts` KL runs (smallest cut).
 BisectionResult min_bisection_estimate(const Graph& g, Rng& rng, int restarts);

@@ -1,8 +1,8 @@
 #include "graph/yen.h"
 
 #include <algorithm>
-#include <queue>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -11,40 +11,69 @@ namespace jf::graph {
 
 namespace {
 
-// BFS shortest path from s to t avoiding blocked nodes and blocked edges.
-// Parent choice is smallest-id-first for determinism. Returns {} if none.
-std::vector<NodeId> masked_shortest_path(const Graph& g, NodeId s, NodeId t,
-                                         const std::vector<char>& node_blocked,
-                                         const std::set<std::pair<NodeId, NodeId>>& edge_blocked) {
-  auto blocked = [&](NodeId u, NodeId v) {
-    return edge_blocked.count({std::min(u, v), std::max(u, v)}) > 0;
-  };
-  const int n = g.num_nodes();
-  std::vector<int> dist(static_cast<std::size_t>(n), -1);
-  std::vector<NodeId> parent(static_cast<std::size_t>(n), -1);
-  std::queue<NodeId> q;
-  dist[s] = 0;
-  q.push(s);
-  while (!q.empty() && dist[t] == -1) {
-    NodeId u = q.front();
-    q.pop();
-    // Sort neighbor visitation by id so parents (and thus paths) are
-    // deterministic regardless of adjacency-list mutation history.
-    std::vector<NodeId> nbrs(g.neighbors(u).begin(), g.neighbors(u).end());
-    std::sort(nbrs.begin(), nbrs.end());
-    for (NodeId v : nbrs) {
-      if (node_blocked[v] || blocked(u, v) || dist[v] != -1) continue;
-      dist[v] = dist[u] + 1;
-      parent[v] = u;
-      q.push(v);
+// Per-call search state: the adjacency sorted once by neighbour id (CSR), and
+// one parent array reused across every spur search of the call.
+class MaskedBfs {
+ public:
+  explicit MaskedBfs(const Graph& g)
+      : offset_(static_cast<std::size_t>(g.num_nodes()) + 1),
+        parent_(static_cast<std::size_t>(g.num_nodes()), kUnseen) {
+    const int n = g.num_nodes();
+    nbrs_.reserve(2 * g.num_edges());
+    for (NodeId u = 0; u < n; ++u) {
+      offset_[u] = static_cast<int>(nbrs_.size());
+      nbrs_.insert(nbrs_.end(), g.neighbors(u).begin(), g.neighbors(u).end());
+      std::sort(nbrs_.begin() + offset_[u], nbrs_.end());
     }
+    offset_[n] = static_cast<int>(nbrs_.size());
+    queue_.reserve(static_cast<std::size_t>(n));
   }
-  if (dist[t] == -1) return {};
-  std::vector<NodeId> path;
-  for (NodeId cur = t; cur != -1; cur = parent[cur]) path.push_back(cur);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
+
+  // BFS shortest path from s to t avoiding `blocked_nodes` and the edges
+  // {s, v} for v in `blocked_next`. Yen only ever blocks edges out of the
+  // spur node, which is the search source here, so no other edge needs a
+  // check. Neighbours are visited smallest id first, so parents (and thus
+  // paths) do not depend on adjacency-list mutation history. Returns {} if
+  // t is unreachable.
+  std::vector<NodeId> shortest_path(NodeId s, NodeId t, std::span<const NodeId> blocked_nodes,
+                                    const std::vector<NodeId>& blocked_next) {
+    for (NodeId x : blocked_nodes) parent_[x] = kRoot;  // seen, never expanded
+    queue_.clear();
+    parent_[s] = kRoot;
+    queue_.push_back(s);
+    for (std::size_t head = 0; head < queue_.size() && parent_[t] == kUnseen; ++head) {
+      const NodeId u = queue_[head];
+      for (int i = offset_[u]; i < offset_[u + 1]; ++i) {
+        const NodeId v = nbrs_[static_cast<std::size_t>(i)];
+        if (parent_[v] != kUnseen) continue;
+        if (u == s &&
+            std::find(blocked_next.begin(), blocked_next.end(), v) != blocked_next.end()) {
+          continue;
+        }
+        parent_[v] = u;
+        queue_.push_back(v);
+      }
+    }
+    std::vector<NodeId> path;
+    if (parent_[t] != kUnseen) {
+      for (NodeId cur = t; cur != kRoot; cur = parent_[cur]) path.push_back(cur);
+      std::reverse(path.begin(), path.end());
+    }
+    // Reset through the visited list.
+    for (NodeId v : queue_) parent_[v] = kUnseen;
+    for (NodeId x : blocked_nodes) parent_[x] = kUnseen;
+    return path;
+  }
+
+ private:
+  static constexpr NodeId kUnseen = -2;
+  static constexpr NodeId kRoot = -1;
+
+  std::vector<int> offset_;
+  std::vector<NodeId> nbrs_;
+  std::vector<NodeId> parent_;  // kUnseen until reached
+  std::vector<NodeId> queue_;   // doubles as the visited list
+};
 
 }  // namespace
 
@@ -64,10 +93,10 @@ std::vector<std::vector<NodeId>> k_shortest_paths(const Graph& g, NodeId s, Node
   // Candidate pool ordered by (length, lex); a set both orders and dedupes.
   std::set<Path, decltype(path_less)> candidates(path_less);
 
-  std::vector<char> node_blocked(static_cast<std::size_t>(g.num_nodes()), 0);
-  std::set<std::pair<NodeId, NodeId>> edge_blocked;
+  MaskedBfs bfs(g);
+  std::vector<NodeId> blocked_next;  // spur's blocked next hops, <= k entries
 
-  Path first = masked_shortest_path(g, s, t, node_blocked, edge_blocked);
+  Path first = bfs.shortest_path(s, t, {}, blocked_next);
   if (first.empty()) return {};
   result.push_back(std::move(first));
 
@@ -78,20 +107,17 @@ std::vector<std::vector<NodeId>> k_shortest_paths(const Graph& g, NodeId s, Node
       const NodeId spur = prev[i];
       const Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i) + 1);
 
-      edge_blocked.clear();
-      std::fill(node_blocked.begin(), node_blocked.end(), 0);
-
-      // Block the next edge of every accepted path sharing this root.
+      // Block the next edge of every accepted path sharing this root; each
+      // such edge leaves the spur node.
+      blocked_next.clear();
       for (const Path& p : result) {
         if (p.size() > i && std::equal(root.begin(), root.end(), p.begin())) {
-          NodeId u = p[i], v = p[i + 1];
-          edge_blocked.insert({std::min(u, v), std::max(u, v)});
+          blocked_next.push_back(p[i + 1]);
         }
       }
       // Block root nodes except the spur to keep paths loopless.
-      for (std::size_t j = 0; j < i; ++j) node_blocked[root[j]] = 1;
-
-      Path spur_path = masked_shortest_path(g, spur, t, node_blocked, edge_blocked);
+      Path spur_path =
+          bfs.shortest_path(spur, t, std::span<const NodeId>(root.data(), i), blocked_next);
       if (spur_path.empty()) continue;
 
       Path total(root.begin(), root.end() - 1);

@@ -5,6 +5,10 @@
 // ECMP cannot use. Paths are simple (loopless), returned sorted by
 // (hop count, lexicographic node sequence), and deterministic for a given
 // graph, which makes routing tables reproducible.
+//
+// Cost: each call sorts the adjacency by neighbour id once (O(m log Δ)) and
+// reuses one set of BFS buffers for all of its spur searches, so a spur
+// search allocates only the path it returns.
 #pragma once
 
 #include <vector>

@@ -2,11 +2,13 @@
 // the legacy per-call facade API, and registry extensibility.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
 #include "core/jellyfish_network.h"
 #include "eval/engine.h"
+#include "eval/serialize.h"
 #include "eval/topology_factory.h"
 #include "flow/restricted.h"
 #include "flow/throughput.h"
@@ -200,6 +202,23 @@ TEST(EvalEngine, SimMetricsRejectFailLinksUpFront) {
 // The metric registry is the only place a metric is spelled: every row sits
 // at its enum index, its name round-trips, and its needs flags are
 // consistent.
+// The `bisection` metric on a jellyfish whose KL cut can leave every server
+// on one side (3 servers on 20 switches) stays finite, so the report can be
+// written as JSON.
+TEST(EvalEngine, BisectionReportWritesWithFewServers) {
+  eval::Scenario s;
+  s.name = "bisection_few_servers";
+  s.topologies = {{.family = "jellyfish", .switches = 20, .ports = 8, .servers = 3}};
+  s.metrics = {eval::Metric::kBisection};
+  s.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  const auto report = eval::Engine({.threads = 2}).run(s);
+  ASSERT_EQ(report.samples.size(), 8u);
+  for (const auto& sample : report.samples) {
+    EXPECT_TRUE(std::isfinite(sample.value)) << "seed " << sample.seed;
+  }
+  EXPECT_NO_THROW((void)eval::report_to_json(report).dump());
+}
+
 TEST(EvalEngine, MetricTableRowsAreConsistent) {
   std::set<std::string_view> names;
   const auto table = eval::metric_table();

@@ -2,6 +2,7 @@
 // planned through plan_growth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,6 +57,61 @@ TEST(Clos, CableMultisetAndDelta) {
   auto [a2, r2] = cable_delta(a, a);
   EXPECT_EQ(a2, 0);
   EXPECT_EQ(r2, 0);
+}
+
+// cable_delta's closed form against the multiset definition: compare the
+// two clos_cables() maps. The grid grows and shrinks E and S and includes
+// u > S (parallel edge-spine cables).
+TEST(Clos, CableDeltaMatchesMultisetDefinition) {
+  auto by_maps = [](const ClosConfig& from, const ClosConfig& to) {
+    const auto a = clos_cables(from);
+    const auto b = clos_cables(to);
+    int added = 0, removed = 0;
+    for (const auto& [key, count] : b) {
+      const auto it = a.find(key);
+      added += std::max(0, count - (it == a.end() ? 0 : it->second));
+    }
+    for (const auto& [key, count] : a) {
+      const auto it = b.find(key);
+      removed += std::max(0, count - (it == b.end() ? 0 : it->second));
+    }
+    return std::pair{added, removed};
+  };
+  int parallel = 0, checked = 0;
+  for (int k : {4, 9, 24}) {
+    std::vector<ClosConfig> grid;
+    for (int e : {1, 2, 3, 5, 8, 13}) {
+      for (int sp : {1, 2, 3, 4, 7, 11}) {
+        for (int d : {1, k / 2, k - 1}) grid.push_back({e, sp, d, k});
+      }
+    }
+    for (const ClosConfig& from : grid) {
+      if (from.up() > from.spine) ++parallel;
+      for (const ClosConfig& to : grid) {
+        ASSERT_EQ(cable_delta(from, to), by_maps(from, to))
+            << "from (" << from.edge << "," << from.spine << "," << from.down << ") to ("
+            << to.edge << "," << to.spine << "," << to.down << ") k=" << k;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(parallel, 0);
+  EXPECT_GT(checked, 10000);
+}
+
+// The first Clos step of the Fig. 7 arc (the best 34-switch, 24-port Clos
+// for 480 servers, grown to host 720 within 35000), pinned from the
+// map-based search.
+TEST(Clos, Fig07UpgradeStepIsPinned) {
+  const ClosConfig cur{27, 7, 18, 24};
+  double spent = -1.0;
+  const auto next = best_clos_upgrade(cur, 720, 35000.0, CostModel{}, &spent);
+  EXPECT_EQ(next.edge, 38);
+  EXPECT_EQ(next.spine, 8);
+  EXPECT_EQ(next.down, 19);
+  EXPECT_EQ(next.ports, 24);
+  EXPECT_EQ(spent, 33740.0);
+  EXPECT_EQ(cable_delta(cur, next), (std::pair{87, 59}));
 }
 
 TEST(Clos, BuildsValidTopology) {

@@ -2,11 +2,18 @@
 // max-min fair allocation, bisection bounds, and the capacity search.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "flow/bisection.h"
 #include "flow/maxmin.h"
 #include "flow/mcf.h"
 #include "flow/throughput.h"
+#include "graph/partition.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
@@ -233,6 +240,40 @@ TEST(Bisection, KlEstimateMatchesFattreeOrder) {
   // (it may exceed 1.0 since KL upper-bounds the min cut).
   EXPECT_GT(nbb, 0.7);
   EXPECT_LT(nbb, 2.0);
+}
+
+// 3 servers on 20 switches: the best KL cut often leaves every server on
+// one side. Such a cut is normalized by half the servers (the
+// rrg_normalized_bisection convention), not by an empty lighter side.
+TEST(Bisection, KlEstimateFiniteWhenOneSideHostsNoServers) {
+  int one_sided = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng build(seed);
+    const auto topo = topo::build_jellyfish_with_servers(20, 8, 3, build);
+    Rng kl(seed), replay(seed);
+    const double nbb = estimated_normalized_bisection(topo, kl, 5);
+    ASSERT_TRUE(std::isfinite(nbb)) << "seed " << seed;
+    const auto cut = graph::min_bisection_estimate(topo.switches(), replay, 5);
+    int servers_a = 0;
+    for (topo::NodeId sw = 0; sw < topo.num_switches(); ++sw) {
+      if (cut.side[sw]) servers_a += topo.servers_at(sw);
+    }
+    if (servers_a == 0 || servers_a == 3) {
+      ++one_sided;
+      EXPECT_EQ(nbb, static_cast<double>(cut.cut_edges) / 1.5) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(one_sided, 0);  // the repro exercises the one-sided case
+
+  const topo::Topology bare("bare", topo::build_fattree(4).switches(),
+                            std::vector<int>(20, 4), std::vector<int>(20, 0));
+  Rng rng(1);
+  try {
+    estimated_normalized_bisection(bare, rng, 1);
+    FAIL() << "a topology without servers has no normalized bisection";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bisection"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Throughput, PermutationInUnitRange) {

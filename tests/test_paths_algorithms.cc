@@ -2,7 +2,10 @@
 // the Kernighan-Lin bisection heuristic — including property sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "graph/algorithms.h"
@@ -10,6 +13,7 @@
 #include "graph/maxflow.h"
 #include "graph/partition.h"
 #include "graph/yen.h"
+#include "topo/fattree.h"
 #include "topo/jellyfish.h"
 
 namespace jf::graph {
@@ -89,6 +93,122 @@ TEST(Yen, DeterministicAcrossCalls) {
   auto a = k_shortest_paths(topo.switches(), 0, 7, 6);
   auto b = k_shortest_paths(topo.switches(), 0, 7, 6);
   EXPECT_EQ(a, b);
+}
+
+// Reference Yen: the per-visit sorting, per-spur allocating, std::set-masked
+// implementation that the sort-once search replaced. k_shortest_paths must
+// return exactly its paths, in its order.
+std::vector<NodeId> reference_masked_bfs(const Graph& g, NodeId s, NodeId t,
+                                         const std::vector<char>& node_blocked,
+                                         const std::set<std::pair<NodeId, NodeId>>& edge_blocked) {
+  std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()), -1);
+  std::vector<NodeId> parent(static_cast<std::size_t>(g.num_nodes()), -1);
+  std::queue<NodeId> q;
+  dist[s] = 0;
+  q.push(s);
+  while (!q.empty() && dist[t] == -1) {
+    const NodeId u = q.front();
+    q.pop();
+    std::vector<NodeId> nbrs(g.neighbors(u).begin(), g.neighbors(u).end());
+    std::sort(nbrs.begin(), nbrs.end());
+    for (NodeId v : nbrs) {
+      if (node_blocked[v] || edge_blocked.count({std::min(u, v), std::max(u, v)}) > 0 ||
+          dist[v] != -1) {
+        continue;
+      }
+      dist[v] = dist[u] + 1;
+      parent[v] = u;
+      q.push(v);
+    }
+  }
+  if (dist[t] == -1) return {};
+  std::vector<NodeId> path;
+  for (NodeId cur = t; cur != -1; cur = parent[cur]) path.push_back(cur);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+std::vector<std::vector<NodeId>> reference_yen(const Graph& g, NodeId s, NodeId t, int k) {
+  if (s == t) return {{s}};
+  using Path = std::vector<NodeId>;
+  auto path_less = [](const Path& x, const Path& y) {
+    return x.size() != y.size() ? x.size() < y.size() : x < y;
+  };
+  std::vector<Path> result;
+  std::set<Path, decltype(path_less)> candidates(path_less);
+  std::vector<char> node_blocked(static_cast<std::size_t>(g.num_nodes()), 0);
+  std::set<std::pair<NodeId, NodeId>> edge_blocked;
+  Path first = reference_masked_bfs(g, s, t, node_blocked, edge_blocked);
+  if (first.empty()) return {};
+  result.push_back(std::move(first));
+  while (static_cast<int>(result.size()) < k) {
+    const Path& prev = result.back();
+    for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
+      const Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      edge_blocked.clear();
+      std::fill(node_blocked.begin(), node_blocked.end(), 0);
+      for (const Path& p : result) {
+        if (p.size() > i && std::equal(root.begin(), root.end(), p.begin())) {
+          edge_blocked.insert({std::min(p[i], p[i + 1]), std::max(p[i], p[i + 1])});
+        }
+      }
+      for (std::size_t j = 0; j < i; ++j) node_blocked[root[j]] = 1;
+      Path spur = reference_masked_bfs(g, prev[i], t, node_blocked, edge_blocked);
+      if (spur.empty()) continue;
+      Path total(root.begin(), root.end() - 1);
+      total.insert(total.end(), spur.begin(), spur.end());
+      if (std::find(result.begin(), result.end(), total) == result.end()) {
+        candidates.insert(std::move(total));
+      }
+    }
+    if (candidates.empty()) break;
+    result.push_back(*candidates.begin());
+    candidates.erase(candidates.begin());
+  }
+  return result;
+}
+
+TEST(Yen, MatchesReferenceImplementation) {
+  std::vector<Graph> graphs;
+  Rng rng(41);
+  for (auto [n, p] : {std::pair{12, 0.3}, {30, 0.12}, {40, 0.05}}) {
+    // G(n, p) with shuffled insertion order (unsorted adjacency); the
+    // sparse one is disconnected, so some pairs are unreachable.
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (rng.bernoulli(p)) edges.emplace_back(a, b);
+      }
+    }
+    rng.shuffle(edges);
+    Graph g(n);
+    for (auto [a, b] : edges) g.add_edge(a, b);
+    graphs.push_back(std::move(g));
+  }
+  graphs.push_back(topo::build_fattree(4).switches());
+  graphs.push_back(topo::build_fattree(6).switches());
+  auto jelly = topo::build_jellyfish(
+      {.num_switches = 40, .ports_per_switch = 10, .network_degree = 6}, rng);
+  topo::expand_add_switch(jelly, 10, 6, 4, rng);  // splices mutate adjacency order
+  graphs.push_back(jelly.switches());
+
+  int unreachable = 0, compared = 0;
+  for (const Graph& g : graphs) {
+    const int n = g.num_nodes();
+    for (NodeId s = 0; s < n; s += 3) {
+      for (NodeId t = 0; t < n; t += 2) {
+        for (int k : {1, 8, 16}) {
+          const auto want = reference_yen(g, s, t, k);
+          ASSERT_EQ(k_shortest_paths(g, s, t, k), want)
+              << "n=" << n << " s=" << s << " t=" << t << " k=" << k;
+          unreachable += want.empty() ? 1 : 0;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(unreachable, 0);
+  EXPECT_GT(compared, 1000);
 }
 
 TEST(Ecmp, EnumeratesEqualCostPaths) {
