@@ -1,59 +1,48 @@
 // Ablation: how many paths does Jellyfish routing actually need?
 //
 // The paper fixes k = 8 shortest paths and 8 MPTCP subflows; this ablation
-// sweeps both knobs on one oversubscribed Jellyfish to show where the
-// returns flatten (the justification for the paper's choice). Expected
-// shape: large jump from 1 -> 2-4 paths (escaping ECMP-style collisions),
-// saturation around 8; subflows track path count until they exceed it.
-#include <iostream>
+// sweeps both knobs on one oversubscribed Jellyfish (33 switches x 12
+// ports, 165 servers) to show where the returns flatten (the justification
+// for the paper's choice). Expected shape: large jump from 1 -> 2-4 paths
+// (escaping ECMP-style collisions), saturation around 8; subflows track
+// path count until they exceed it.
+//
+// Ported onto the experiment farm: scenarios/ablation_paths.json zips
+// routing.width with sim.subflows — first the KSP path count at 8 subflows,
+// then the subflow count at 8 paths — with fluid throughput as denominator.
+#include <cmath>
+#include <ostream>
 
-#include "common/rng.h"
 #include "common/table.h"
-#include "flow/throughput.h"
-#include "sim/workload.h"
-#include "topo/jellyfish.h"
+#include "eval/bench_driver.h"
 
-int main() {
-  using namespace jf;
-  Rng rng(8888);
-  auto topo = topo::build_jellyfish(
-      {.num_switches = 33, .ports_per_switch = 12, .network_degree = 7}, rng);
-  Rng fr = rng.fork(1);
-  const double fluid = flow::permutation_throughput(topo, fr, {});
-  std::cout << "topology: " << topo.name() << ", fluid optimum " << fluid << "\n";
+namespace {
 
-  print_banner(std::cout, "Ablation A: KSP path count k (MPTCP subflows = 8)");
-  Table ka({"k_paths", "packet_throughput", "fraction_of_fluid"});
-  for (int k : {1, 2, 4, 8, 16}) {
-    sim::WorkloadConfig cfg;
-    cfg.routing = {routing::Scheme::kKsp, k};
-    cfg.transport = sim::Transport::kMptcp;
-    cfg.subflows = 8;
-    Rng r = rng.fork(100 + k);
-    auto res = sim::run_permutation_workload(topo, cfg, r);
-    ka.add_row({Table::fmt(k), Table::fmt(res.mean_flow_throughput),
-                Table::fmt(res.mean_flow_throughput / fluid)});
-    std::cout << "  [k=" << k << " done]\n";
+void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
+  using jf::Table;
+  os << "\npacket throughput by KSP path count and MPTCP subflow count:\n";
+  Table table({"k_paths", "subflows", "packet_throughput", "fraction_of_fluid"});
+  for (const auto& point : report.points) {
+    double k = NAN, subflows = NAN;
+    for (const auto& [field, value] : point.coords) {
+      if (field == "routing.width") k = value;
+      if (field == "sim.subflows") subflows = value;
+    }
+    const double packet = jf::eval::mean_for(point, "jellyfish", "sim_goodput");
+    const double fluid = jf::eval::mean_for(point, "jellyfish", "throughput");
+    if (std::isnan(packet) || std::isnan(fluid) || fluid <= 0.0) continue;
+    table.add_row({Table::fmt(k, 0), Table::fmt(subflows, 0), Table::fmt(packet),
+                   Table::fmt(packet / fluid)});
   }
-  ka.print(std::cout);
-  ka.print_csv(std::cout);
+  table.print(os);
+  os << "\nexpected shape: biggest gain from 1 -> 4 paths/subflows, saturating by 8\n"
+        "(the paper's operating point).\n";
+}
 
-  print_banner(std::cout, "Ablation B: MPTCP subflow count (KSP k = 8)");
-  Table sa({"subflows", "packet_throughput", "fraction_of_fluid"});
-  for (int s : {1, 2, 4, 8}) {
-    sim::WorkloadConfig cfg;
-    cfg.routing = {routing::Scheme::kKsp, 8};
-    cfg.transport = sim::Transport::kMptcp;
-    cfg.subflows = s;
-    Rng r = rng.fork(200 + s);
-    auto res = sim::run_permutation_workload(topo, cfg, r);
-    sa.add_row({Table::fmt(s), Table::fmt(res.mean_flow_throughput),
-                Table::fmt(res.mean_flow_throughput / fluid)});
-    std::cout << "  [subflows=" << s << " done]\n";
-  }
-  sa.print(std::cout);
-  sa.print_csv(std::cout);
-  std::cout << "\nexpected shape: biggest gain from 1 -> 4 paths/subflows, saturating by 8\n"
-               "(the paper's operating point).\n";
-  return 0;
+}  // namespace
+
+int main(int argc, char** argv) {
+  return jf::eval::sweep_bench_main(argc, argv,
+                                    "Ablation: KSP path count x MPTCP subflow count",
+                                    JF_SCENARIO_DIR "/ablation_paths.json", shape_note);
 }

@@ -26,6 +26,7 @@
 
 #include "common/json.h"
 #include "bench_util.h"
+#include "common/cli.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
 #include "obs/metrics.h"
@@ -71,9 +72,9 @@ int main(int argc, char** argv) {
     if (arg == "--scenario") {
       scenario_path = value();
     } else if (arg == "--threads") {
-      threads = std::atoi(value());
+      threads = cli::int_flag("bench_cache", arg, value());
     } else if (arg == "--repeats") {
-      repeats = std::atoi(value());
+      repeats = cli::int_flag("bench_cache", arg, value());
     } else if (arg == "--git-sha") {
       git_sha = value();
     } else if (arg == "--out") {

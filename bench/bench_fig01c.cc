@@ -4,47 +4,27 @@
 // Paper's headline numbers: >99.5% of Jellyfish server pairs are reachable
 // in < 6 hops; only ~7.5% of fat-tree pairs are.
 //
-// Ported to jf::eval: one Scenario describes both topology families and the
-// 10 trials; the engine builds every (topology, seed) cell in parallel and
-// the kServerCdf metric emits the weighted server-pair CDF directly.
-#include <iostream>
+// Ported onto the experiment farm: scenarios/fig01c.json runs both families
+// over the 10 trial seeds with the server_cdf metric (the weighted
+// server-pair CDF, server_cdf_le{2..6} in the report).
+#include <ostream>
 
-#include "common/table.h"
-#include "eval/engine.h"
-#include "topo/fattree.h"
+#include "eval/bench_driver.h"
 
-int main() {
-  using namespace jf;
-  const int k = 14;  // fat-tree port count -> 686 servers, 245 switches
-  const int switches = topo::fattree_switches(k);
-  const int servers = topo::fattree_servers(k);
+namespace {
 
-  eval::Scenario s;
-  s.name = "fig01c";
-  s.topologies = {
-      {.family = "jellyfish", .switches = switches, .ports = k, .servers = servers},
-      {.family = "fattree", .fattree_k = k},
-  };
-  s.metrics = {eval::Metric::kServerCdf};
-  s.seeds.clear();
-  for (int t = 0; t < 10; ++t) s.seeds.push_back(20120425 + t);
+void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
+  const auto& point = report.points.front();
+  os << "\npaper shape check: Jellyfish reachable in <6 hops: "
+     << jf::eval::mean_for(point, "jellyfish", "server_cdf_le5") * 100
+     << "% (paper >99.5%), fat-tree: "
+     << jf::eval::mean_for(point, "fattree", "server_cdf_le5") * 100 << "% (paper ~7.5%)\n";
+}
 
-  auto report = eval::Engine().run(s);
+}  // namespace
 
-  print_banner(std::cout, "Figure 1(c): fraction of server pairs reachable within path length");
-  std::cout << "equipment: " << switches << " switches x " << k << " ports, " << servers
-            << " servers\n";
-  Table table({"path_len", "jellyfish_cdf", "fattree_cdf"});
-  auto mean_at = [&](int topo, int len) {
-    return summarize(report.series(topo, -1, "server_cdf_le" + std::to_string(len))).mean;
-  };
-  for (int len = 2; len <= 6; ++len) {
-    table.add_row({Table::fmt(len), Table::fmt(mean_at(0, len)), Table::fmt(mean_at(1, len))});
-  }
-  table.print(std::cout);
-  table.print_csv(std::cout);
-
-  std::cout << "\npaper shape check: Jellyfish reachable in <6 hops: " << mean_at(0, 5) * 100
-            << "% (paper >99.5%), fat-tree: " << mean_at(1, 5) * 100 << "% (paper ~7.5%)\n";
-  return 0;
+int main(int argc, char** argv) {
+  return jf::eval::sweep_bench_main(
+      argc, argv, "Figure 1(c): fraction of server pairs reachable within path length",
+      JF_SCENARIO_DIR "/fig01c.json", shape_note);
 }

@@ -6,54 +6,31 @@
 // permutation. Paper shape: under ECMP ~55% of links are on <= 2 paths;
 // under 8-SP only ~6% are.
 //
-// Ported to jf::eval: the three routing schemes are one Scenario axis; the
-// kLinkDiversity metric evaluates each scheme's PathProvider against the
-// same sampled permutation.
-#include <iostream>
+// Ported onto the experiment farm: scenarios/fig09.json lists the three
+// routing schemes; the link_diversity metric evaluates each scheme's
+// PathProvider against the same sampled permutation (div_rank_p* in the
+// report is the ranked series at deciles, the paper's x-axis).
+#include <ostream>
 
-#include "common/table.h"
-#include "eval/engine.h"
-#include "topo/fattree.h"
+#include "eval/bench_driver.h"
 
-int main() {
-  using namespace jf;
-  const int k = 14;  // fat-tree equipment: 245 switches, 686 servers
-  const int switches = topo::fattree_switches(k);
-  const int servers = topo::fattree_servers(k);
+namespace {
 
-  eval::Scenario s;
-  s.name = "fig09";
-  s.topologies = {
-      {.family = "jellyfish", .switches = switches, .ports = k, .servers = servers}};
-  s.routings = {{"ecmp", 8}, {"ecmp", 64}, {"ksp", 8}};
-  s.metrics = {eval::Metric::kLinkDiversity};
-  s.seeds = {909};
-
-  auto report = eval::Engine().run(s);
-
-  print_banner(std::cout, "Figure 9: #distinct paths per directed link (ranked)");
-  Table table({"scheme", "frac_links_<=2_paths", "mean_paths", "p50", "p90", "max"});
-  auto value = [&](int routing, const std::string& metric) {
-    return summarize(report.series(0, routing, metric)).mean;
-  };
-  for (int r = 0; r < static_cast<int>(s.routings.size()); ++r) {
-    table.add_row({report.routing_labels[static_cast<std::size_t>(r)],
-                   Table::fmt(value(r, "div_frac_le2")), Table::fmt(value(r, "div_mean"), 2),
-                   Table::fmt(value(r, "div_p50")), Table::fmt(value(r, "div_p90")),
-                   Table::fmt(value(r, "div_max"))});
+void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
+  const auto& point = report.points.front();
+  os << "\npaper shape: ECMP leaves ~55% of links on <=2 paths; 8-SP only ~6%.\n";
+  for (const auto& scheme : point.report.routing_labels) {
+    os << "  " << scheme << ": "
+       << jf::eval::mean_for(point, "jellyfish", "div_frac_le2", scheme) * 100
+       << "% of links on <=2 paths, mean "
+       << jf::eval::mean_for(point, "jellyfish", "div_mean", scheme) << " paths per link\n";
   }
-  table.print(std::cout);
-  table.print_csv(std::cout);
+}
 
-  // Ranked series sampled at deciles (the paper's x-axis is link rank).
-  Table series({"rank_pct", "ecmp8", "ecmp64", "ksp8"});
-  for (int pct = 0; pct <= 100; pct += 10) {
-    const std::string metric = "div_rank_p" + std::to_string(pct);
-    series.add_row({Table::fmt(pct), Table::fmt(value(0, metric)),
-                    Table::fmt(value(1, metric)), Table::fmt(value(2, metric))});
-  }
-  series.print(std::cout);
-  series.print_csv(std::cout);
-  std::cout << "\npaper shape: ECMP leaves ~55% of links on <=2 paths; 8-SP only ~6%.\n";
-  return 0;
+}  // namespace
+
+int main(int argc, char** argv) {
+  return jf::eval::sweep_bench_main(argc, argv,
+                                    "Figure 9: #distinct paths per directed link (ranked)",
+                                    JF_SCENARIO_DIR "/fig09.json", shape_note);
 }

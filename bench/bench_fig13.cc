@@ -1,59 +1,48 @@
 // Figure 13: per-flow fairness of routing + congestion control.
 //
-// Distribution of normalized per-flow throughput (ascending rank) for a
-// same-equipment fat-tree / Jellyfish pair, plus Jain's fairness index.
-// Paper shape: both topologies are similarly fair (Jain ~0.99), Jellyfish
-// simply has more flows because it hosts more servers.
-#include <algorithm>
-#include <iostream>
+// Normalized per-flow throughput spread for a same-equipment fat-tree
+// (k = 8) / Jellyfish (80 switches x 8 ports, 146 servers) pair under
+// MPTCP-8, plus Jain's fairness index. Paper shape: both topologies are
+// similarly fair (Jain ~0.99), Jellyfish simply has more flows because it
+// hosts more servers.
+//
+// Ported onto the experiment farm: scenarios/fig13.json runs both
+// topologies on ECMP-8 and 8-shortest-paths with the packet_sim (Jain
+// fairness) and flow_stats (per-flow throughput percentiles) metrics; the
+// epilogue tabulates the spread per (topology, routing).
+#include <ostream>
+#include <string>
 
-#include "common/rng.h"
-#include "common/stats.h"
 #include "common/table.h"
-#include "sim/workload.h"
-#include "topo/fattree.h"
-#include "topo/jellyfish.h"
+#include "eval/bench_driver.h"
 
-int main() {
-  using namespace jf;
-  const int k = 8;
-  const int switches = topo::fattree_switches(k);
-  [[maybe_unused]] const int ft_servers = topo::fattree_servers(k);
-  const int jf_servers = 146;
-  Rng rng(1313);
+namespace {
 
-  sim::WorkloadConfig cfg;
-  cfg.transport = sim::Transport::kMptcp;
-  cfg.subflows = 8;
-
-  Rng fr = rng.fork(1);
-  auto ft = topo::build_fattree(k);
-  cfg.routing = {routing::Scheme::kEcmp, 8};
-  auto ft_res = sim::run_permutation_workload(ft, cfg, fr);
-
-  Rng jr = rng.fork(2);
-  auto jelly = topo::build_jellyfish_with_servers(switches, k, jf_servers, jr);
-  cfg.routing = {routing::Scheme::kKsp, 8};
-  auto jf_res = sim::run_permutation_workload(jelly, cfg, jr);
-
-  auto ft_sorted = ft_res.per_flow;
-  auto jf_sorted = jf_res.per_flow;
-  std::sort(ft_sorted.begin(), ft_sorted.end());
-  std::sort(jf_sorted.begin(), jf_sorted.end());
-
-  print_banner(std::cout, "Figure 13: normalized flow throughput by rank + Jain fairness");
-  std::cout << "fat-tree flows: " << ft_sorted.size() << ", jellyfish flows: "
-            << jf_sorted.size() << "\n";
-  Table table({"rank_pct", "fattree", "jellyfish"});
-  for (int pct = 0; pct <= 100; pct += 10) {
-    auto at = [&](const std::vector<double>& v) {
-      return v[std::min(v.size() - 1, v.size() * pct / 100)];
-    };
-    table.add_row({Table::fmt(pct), Table::fmt(at(ft_sorted)), Table::fmt(at(jf_sorted))});
+void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
+  using jf::Table;
+  const auto& point = report.points.front();
+  os << "\nnormalized flow throughput spread + Jain fairness:\n";
+  Table table({"topology", "routing", "jain", "min", "p10", "p50", "p90"});
+  for (const auto& topology : point.report.topology_labels) {
+    for (const auto& routing : point.report.routing_labels) {
+      auto value = [&](const char* metric) {
+        return Table::fmt(jf::eval::mean_for(point, topology, metric, routing));
+      };
+      table.add_row({topology, routing, value("sim_fairness"), value("flow_tput_min"),
+                     value("flow_tput_p10"), value("flow_tput_p50"), value("flow_tput_p90")});
+    }
   }
-  table.print(std::cout);
-  table.print_csv(std::cout);
-  std::cout << "\nJain fairness: fat-tree " << ft_res.jain_fairness << ", jellyfish "
-            << jf_res.jain_fairness << " (paper: 0.991 / 0.988)\n";
-  return 0;
+  table.print(os);
+  os << "\npaper shape: Jain fairness fat-tree (ECMP) "
+     << jf::eval::mean_for(point, "fattree", "sim_fairness", "ecmp") << ", jellyfish (8-SP) "
+     << jf::eval::mean_for(point, "jellyfish", "sim_fairness", "ksp")
+     << " (paper: 0.991 / 0.988)\n";
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return jf::eval::sweep_bench_main(
+      argc, argv, "Figure 13: normalized flow throughput spread + Jain fairness",
+      JF_SCENARIO_DIR "/fig13.json", shape_note);
 }

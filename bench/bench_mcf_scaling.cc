@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/cli.h"
 #include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -71,11 +72,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--switches") {
-      switches = std::atoi(value());
+      switches = cli::int_flag("bench_mcf_scaling", arg, value());
     } else if (arg == "--degree") {
-      degree = std::atoi(value());
+      degree = cli::int_flag("bench_mcf_scaling", arg, value());
     } else if (arg == "--repeats") {
-      repeats = std::atoi(value());
+      repeats = cli::int_flag("bench_mcf_scaling", arg, value());
     } else if (arg == "--git-sha") {
       git_sha = value();
     } else if (arg == "--out") {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/cli.h"
 #include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -71,15 +72,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--switches") {
-      switches = std::atoi(value());
+      switches = cli::int_flag("bench_sim_scaling", arg, value());
     } else if (arg == "--degree") {
-      degree = std::atoi(value());
+      degree = cli::int_flag("bench_sim_scaling", arg, value());
     } else if (arg == "--ports") {
-      ports = std::atoi(value());
+      ports = cli::int_flag("bench_sim_scaling", arg, value());
     } else if (arg == "--measure-ms") {
-      measure_ms = std::atoi(value());
+      measure_ms = cli::int_flag("bench_sim_scaling", arg, value());
     } else if (arg == "--repeats") {
-      repeats = std::atoi(value());
+      repeats = cli::int_flag("bench_sim_scaling", arg, value());
     } else if (arg == "--git-sha") {
       git_sha = value();
     } else if (arg == "--out") {

@@ -24,7 +24,6 @@
 // status line per job goes to stdout.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -34,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/fs.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -309,9 +309,9 @@ int cmd_run(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      threads = std::atoi(value());
+      threads = cli::int_flag("jf_eval", arg, value());
     } else if (arg == "--sim-shards") {
-      sim_shards = std::atoi(value());
+      sim_shards = cli::int_flag("jf_eval", arg, value());
       if (sim_shards < 1) throw std::invalid_argument("--sim-shards needs a value >= 1");
     } else if (arg == "--out") {
       out_path = value();
@@ -320,7 +320,7 @@ int cmd_run(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = value();
     } else if (arg == "--cache-budget-mb") {
-      cache_budget_mb = std::atoi(value());
+      cache_budget_mb = cli::int_flag("jf_eval", arg, value());
       if (cache_budget_mb < 1) {
         throw std::invalid_argument("--cache-budget-mb needs a value >= 1");
       }
@@ -489,14 +489,14 @@ int cmd_serve(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = value();
     } else if (arg == "--cache-budget-mb") {
-      cache_budget_mb = std::atoi(value());
+      cache_budget_mb = cli::int_flag("jf_eval", arg, value());
       if (cache_budget_mb < 1) {
         throw std::invalid_argument("--cache-budget-mb needs a value >= 1");
       }
     } else if (arg == "--threads") {
-      threads = std::atoi(value());
+      threads = cli::int_flag("jf_eval", arg, value());
     } else if (arg == "--poll-ms") {
-      poll_ms = std::atoi(value());
+      poll_ms = cli::int_flag("jf_eval", arg, value());
       if (poll_ms < 1) throw std::invalid_argument("--poll-ms needs a value >= 1");
     } else if (arg == "--trace-out") {
       trace_out = value();

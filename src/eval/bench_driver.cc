@@ -1,19 +1,20 @@
 #include "eval/bench_driver.h"
 
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string>
 
+#include "common/cli.h"
 #include "common/table.h"
 #include "eval/serialize.h"
 
 namespace jf::eval {
 
 double mean_for(const SweepPointResult& point, std::string_view label_prefix,
-                std::string_view metric) {
+                std::string_view metric, std::string_view routing_prefix) {
   for (const auto& row : point.report.aggregates()) {
-    if (row.metric == metric && row.topology.starts_with(label_prefix)) {
+    if (row.metric == metric && row.topology.starts_with(label_prefix) &&
+        row.routing.starts_with(routing_prefix)) {
       return row.summary.mean;
     }
   }
@@ -32,7 +33,7 @@ int sweep_bench_main(int argc, char** argv, std::string_view banner,
         std::cerr << argv[0] << ": error: --threads needs a value\n";
         return 2;
       }
-      threads = std::atoi(argv[++i]);
+      threads = cli::int_flag(argv[0], arg, argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0] << " [scenario.json] [--threads N]\n"
                 << "default scenario: " << default_scenario_path << "\n";

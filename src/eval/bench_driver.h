@@ -34,9 +34,11 @@ int sweep_bench_main(int argc, char** argv, std::string_view banner,
 
 // Mean of one metric's aggregate across a point's report, restricted to
 // topology labels starting with `label_prefix` (sweep suffixes make exact
-// labels point-dependent). Returns NaN when no row matches — epilogues
-// should degrade gracefully on custom scenario overrides.
+// labels point-dependent) and routing labels starting with `routing_prefix`
+// (empty matches every row, routing-free ones included). Returns NaN when
+// no row matches — epilogues should degrade gracefully on custom scenario
+// overrides.
 double mean_for(const SweepPointResult& point, std::string_view label_prefix,
-                std::string_view metric);
+                std::string_view metric, std::string_view routing_prefix = {});
 
 }  // namespace jf::eval

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -19,9 +20,6 @@
 #include "eval/topology_factory.h"
 #include "expansion/cost_model.h"
 #include "expansion/schedule.h"
-#include "flow/bisection.h"
-#include "flow/restricted.h"
-#include "flow/throughput.h"
 #include "traffic/traffic.h"
 
 namespace jf::eval {
@@ -558,73 +556,6 @@ expansion::GrowthPlan Engine::growth_plan(const Scenario& s, int topo_idx, std::
   opts.score_bisection = score_bisection;
   opts.budget = budget;
   return expansion::plan_growth(sched, expansion::CostModel{}, rng, opts);
-}
-
-graph::PathLengthStats Engine::path_stats(const topo::Topology& t) {
-  return graph::path_length_stats(t.switches());
-}
-
-double Engine::throughput(const topo::Topology& t, Rng& rng, int samples,
-                          const flow::McfOptions& mcf) {
-  return flow::mean_permutation_throughput(t, rng, samples, mcf);
-}
-
-double Engine::routed_throughput(const topo::Topology& t, const routing::RoutingSpec& routing,
-                                 Rng& rng, int samples, const flow::McfOptions& mcf) {
-  check(samples >= 1, "Engine::routed_throughput: need >= 1 sample");
-  auto routes = routing::make_path_provider(t.switches(), routing);
-  double sum = 0.0;
-  for (int i = 0; i < samples; ++i) {
-    sum += flow::restricted_permutation_throughput(t, *routes, rng, mcf);
-  }
-  return sum / samples;
-}
-
-double Engine::bisection_bandwidth(const topo::Topology& t, Rng& rng) {
-  // Uniform network degree: use the analytic RRG bound; otherwise fall back
-  // to the KL heuristic cut.
-  const auto& g = t.switches();
-  bool uniform = true;
-  const int r0 = g.num_nodes() > 0 ? g.degree(0) : 0;
-  for (topo::NodeId v = 1; v < g.num_nodes(); ++v) {
-    if (g.degree(v) != r0) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform && g.num_nodes() >= 2 && t.num_servers() > 0) {
-    return flow::rrg_normalized_bisection(g.num_nodes(), r0, t.num_servers());
-  }
-  return flow::estimated_normalized_bisection(t, rng, /*restarts=*/5);
-}
-
-sim::WorkloadResult Engine::packet_sim(const topo::Topology& t, const sim::WorkloadConfig& cfg,
-                                       Rng& rng) {
-  return sim::run_permutation_workload(t, cfg, rng);
-}
-
-std::map<int, double> Engine::server_path_cdf(const topo::Topology& t) {
-  std::map<int, double> hist;  // server path length -> weighted pair count
-  double total = 0.0;
-  for (topo::NodeId s = 0; s < t.num_switches(); ++s) {
-    if (t.servers_at(s) == 0) continue;
-    auto dist = graph::bfs_distances(t.switches(), s);
-    for (topo::NodeId v = 0; v < t.num_switches(); ++v) {
-      if (dist[v] == graph::kUnreachable) continue;
-      double pairs = static_cast<double>(t.servers_at(s)) * t.servers_at(v);
-      if (s == v) pairs = static_cast<double>(t.servers_at(s)) * (t.servers_at(s) - 1);
-      if (pairs <= 0) continue;
-      hist[dist[v] + 2] += pairs;  // +2 for the two server-ToR hops
-      total += pairs;
-    }
-  }
-  std::map<int, double> cdf;
-  double cum = 0.0;
-  for (const auto& [len, cnt] : hist) {
-    cum += cnt;
-    cdf[len] = cum / total;
-  }
-  return cdf;
 }
 
 }  // namespace jf::eval

@@ -4,6 +4,7 @@
 // read everything else from the row.
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -15,6 +16,7 @@
 #include "flow/bisection.h"
 #include "flow/restricted.h"
 #include "flow/throughput.h"
+#include "graph/algorithms.h"
 #include "layout/cabling.h"
 #include "routing/diversity.h"
 #include "topo/fattree.h"
@@ -147,16 +149,42 @@ double failure_robust_throughput(const topo::Topology& topo, const traffic::Traf
   return std::min(1.0, solve(live)) * (reachable_demand / total_demand);
 }
 
+// Weighted server-pair path-length CDF: P[server-to-server hops <= L],
+// where hops = switch distance + 2 host links (Fig. 1(c)).
+std::map<int, double> server_path_cdf(const topo::Topology& t) {
+  std::map<int, double> hist;  // server path length -> weighted pair count
+  double total = 0.0;
+  for (topo::NodeId s = 0; s < t.num_switches(); ++s) {
+    if (t.servers_at(s) == 0) continue;
+    auto dist = graph::bfs_distances(t.switches(), s);
+    for (topo::NodeId v = 0; v < t.num_switches(); ++v) {
+      if (dist[v] == graph::kUnreachable) continue;
+      double pairs = static_cast<double>(t.servers_at(s)) * t.servers_at(v);
+      if (s == v) pairs = static_cast<double>(t.servers_at(s)) * (t.servers_at(s) - 1);
+      if (pairs <= 0) continue;
+      hist[dist[v] + 2] += pairs;  // +2 for the two server-ToR hops
+      total += pairs;
+    }
+  }
+  std::map<int, double> cdf;
+  double cum = 0.0;
+  for (const auto& [len, cnt] : hist) {
+    cum += cnt;
+    cdf[len] = cum / total;
+  }
+  return cdf;
+}
+
 // --- kernels ---
 
 void path_stats(MetricCell& c) {
-  auto stats = Engine::path_stats(c.topology());
+  auto stats = graph::path_length_stats(c.topology().switches());
   c.emit("mean_path", 0, stats.mean);
   c.emit("diameter", 0, static_cast<double>(stats.diameter));
 }
 
 void server_cdf(MetricCell& c) {
-  auto cdf = Engine::server_path_cdf(c.topology());
+  auto cdf = server_path_cdf(c.topology());
   for (int len = 2; len <= 6; ++len) {
     double v = 0.0;
     for (const auto& [l, f] : cdf) {
@@ -181,7 +209,7 @@ void throughput(MetricCell& c) {
 
 void bisection(MetricCell& c) {
   Rng br = c.stream(kBisectionStream);
-  c.emit("bisection", 0, Engine::bisection_bandwidth(c.topology(), br));
+  c.emit("bisection", 0, flow::normalized_bisection(c.topology(), br));
 }
 
 void routed_throughput(MetricCell& c) {

@@ -81,4 +81,20 @@ double estimated_normalized_bisection(const topo::Topology& topo, Rng& rng, int 
   return static_cast<double>(result.cut_edges) / denom;
 }
 
+double normalized_bisection(const topo::Topology& topo, Rng& rng) {
+  const auto& g = topo.switches();
+  bool uniform = true;
+  const int r0 = g.num_nodes() > 0 ? g.degree(0) : 0;
+  for (topo::NodeId v = 1; v < g.num_nodes(); ++v) {
+    if (g.degree(v) != r0) {
+      uniform = false;
+      break;
+    }
+  }
+  if (uniform && g.num_nodes() >= 2 && topo.num_servers() > 0) {
+    return rrg_normalized_bisection(g.num_nodes(), r0, topo.num_servers());
+  }
+  return estimated_normalized_bisection(topo, rng, /*restarts=*/5);
+}
+
 }  // namespace jf::flow

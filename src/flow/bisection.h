@@ -48,4 +48,8 @@ std::size_t fattree_min_ports_full_bisection(int servers, std::span<const int> p
 // topologies (Fig. 7 scoring). Throws if the topology hosts no servers.
 double estimated_normalized_bisection(const topo::Topology& topo, Rng& rng, int restarts = 5);
 
+// The `bisection` metric's rule: the analytic RRG bound when every switch
+// has the same network degree, else the KL estimate (5 restarts on `rng`).
+double normalized_bisection(const topo::Topology& topo, Rng& rng);
+
 }  // namespace jf::flow

@@ -163,14 +163,4 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
   return result;
 }
 
-double restricted_permutation_throughput(const topo::Topology& topo,
-                                         routing::PathProvider& routes, Rng& rng,
-                                         const McfOptions& opts) {
-  check(topo.num_servers() >= 2, "restricted_permutation_throughput: need >= 2 servers");
-  auto tm = traffic::random_permutation(topo.num_servers(), rng);
-  auto commodities = traffic::to_switch_commodities(topo, tm);
-  auto result = restricted_max_concurrent_flow(topo.switches(), commodities, routes, opts);
-  return std::min(1.0, result.lambda);
-}
-
 }  // namespace jf::flow

@@ -32,11 +32,4 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
                                          routing::PathProvider& routes,
                                          const McfOptions& opts = {});
 
-// Normalized throughput (min(1, lambda)) of one sampled permutation when
-// flows are confined to the scheme's paths — the fluid analog of the
-// packet-level Table 1 cells.
-double restricted_permutation_throughput(const topo::Topology& topo,
-                                         routing::PathProvider& routes, Rng& rng,
-                                         const McfOptions& opts = {});
-
 }  // namespace jf::flow

@@ -1,10 +1,12 @@
-// Unit tests for jf_common: RNG determinism, statistics, table output.
+// Unit tests for jf_common: RNG determinism, statistics, table output, CLI
+// integer flags.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -144,6 +146,29 @@ TEST(Table, PrintsAlignedAndCsv) {
 TEST(Table, FormatsNumbers) {
   EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(Table::fmt(42), "42");
+}
+
+TEST(Cli, ParseIntAcceptsWholeDecimalInts) {
+  EXPECT_EQ(cli::parse_int("0"), 0);
+  EXPECT_EQ(cli::parse_int("8"), 8);
+  EXPECT_EQ(cli::parse_int("-3"), -3);
+  EXPECT_EQ(cli::parse_int("2147483647"), 2147483647);
+  EXPECT_EQ(cli::parse_int("-2147483648"), -2147483647 - 1);
+}
+
+TEST(Cli, ParseIntRejectsJunkAndOverflow) {
+  for (const char* bad : {"", "abc", "4x", "x4", " 4", "4 ", "+4", "4.0", "0x10", "-",
+                          "2147483648", "-2147483649", "99999999999999999999"}) {
+    EXPECT_EQ(cli::parse_int(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(Cli, IntFlagNamesTheFlagAndExitsTwo) {
+  EXPECT_EQ(cli::int_flag("prog", "--threads", "4"), 4);
+  EXPECT_EXIT(cli::int_flag("prog", "--threads", "abc"), ::testing::ExitedWithCode(2),
+              "prog: error: --threads needs an integer, got 'abc'");
+  EXPECT_EXIT(cli::int_flag("prog", "--sim-shards", "4x"), ::testing::ExitedWithCode(2),
+              "--sim-shards");
 }
 
 }  // namespace

@@ -1,19 +1,14 @@
-// jf::eval engine: scenario execution, thread-count determinism, parity with
-// the legacy per-call facade API, and registry extensibility.
+// jf::eval engine: scenario execution, thread-count determinism, paper
+// behaviours run as scenarios, and registry extensibility.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <stdexcept>
 
-#include "core/jellyfish_network.h"
 #include "eval/engine.h"
 #include "eval/serialize.h"
 #include "eval/topology_factory.h"
-#include "flow/restricted.h"
-#include "flow/throughput.h"
-#include "topo/fattree.h"
-#include "topo/jellyfish.h"
 
 namespace jf {
 namespace {
@@ -65,27 +60,48 @@ TEST(EvalEngine, RunsRepeatIdentically) {
   }
 }
 
-// Engine kernels are the implementation behind the facade: wrap() a fixed
-// topology at a fixed seed and the two APIs must agree exactly.
-TEST(EvalEngine, KernelsMatchLegacyFacade) {
-  Rng build_rng(7);
-  auto topo = topo::build_jellyfish_with_servers(20, 8, 60, build_rng);
-  const std::uint64_t seed = 99;
+// Paper Fig. 8: failing 15% of the links degrades throughput gracefully.
+// The two scenarios share the topology row index and seed, so they build the
+// same graph and sample the same matrices; only the failures differ.
+TEST(EvalEngine, FailedLinksDegradeGracefully) {
+  eval::Scenario intact;
+  intact.topologies = {{.family = "jellyfish", .switches = 30, .ports = 10, .servers = 90}};
+  intact.metrics = {eval::Metric::kThroughput};
+  intact.seeds = {5};
+  intact.samples_per_seed = 2;
+  eval::Scenario failed = intact;
+  failed.topologies[0].fail_links = 0.15;
 
-  auto net = core::JellyfishNetwork::wrap(topo, seed);
-  Rng engine_rng(seed);
+  const eval::Engine engine({.threads = 2});
+  const double before = summarize(engine.run(intact).series(0, -1, "throughput")).mean;
+  const double after = summarize(engine.run(failed).series(0, -1, "throughput")).mean;
+  EXPECT_GT(before, 0.0);
+  EXPECT_GT(after, before * 0.6);
+  EXPECT_LE(after, before + 0.1);
+}
 
-  EXPECT_EQ(net.throughput(2), eval::Engine::throughput(topo, engine_rng, 2));
-
-  const auto facade_stats = net.path_stats();
-  const auto engine_stats = eval::Engine::path_stats(topo);
-  EXPECT_EQ(facade_stats.mean, engine_stats.mean);
-  EXPECT_EQ(facade_stats.diameter, engine_stats.diameter);
-  EXPECT_EQ(facade_stats.connected, engine_stats.connected);
-
-  Rng bis_rng(seed);
-  auto net2 = core::JellyfishNetwork::wrap(topo, seed);
-  EXPECT_EQ(net2.bisection_bandwidth(), eval::Engine::bisection_bandwidth(topo, bis_rng));
+// A well-provisioned network beats an oversubscribed one on the same
+// switches under both the fluid solver and the packet simulator.
+TEST(EvalEngine, FluidAndPacketAgreeOnOrdering) {
+  eval::Scenario s;
+  s.topologies = {
+      {.family = "jellyfish", .label = "rich", .switches = 12, .ports = 10, .servers = 24},
+      {.family = "jellyfish", .label = "poor", .switches = 12, .ports = 10, .servers = 84},
+  };
+  s.routings = {{"ksp", 4}};
+  s.metrics = {eval::Metric::kThroughput, eval::Metric::kPacketSim};
+  s.seeds = {8};
+  s.samples_per_seed = 2;
+  s.sim.transport = sim::Transport::kMptcp;
+  s.sim.subflows = 4;
+  s.sim.warmup_ns = 2 * sim::kMillisecond;
+  s.sim.measure_ns = 8 * sim::kMillisecond;
+  const auto report = eval::Engine({.threads = 2}).run(s);
+  auto mean = [&](int topo, int routing, const std::string& metric) {
+    return summarize(report.series(topo, routing, metric)).mean;
+  };
+  EXPECT_GT(mean(0, -1, "throughput"), mean(1, -1, "throughput"));
+  EXPECT_GT(mean(0, 0, "sim_goodput"), mean(1, 0, "sim_goodput"));
 }
 
 TEST(EvalEngine, CrossProductCoversEveryCell) {
@@ -199,9 +215,6 @@ TEST(EvalEngine, SimMetricsRejectFailLinksUpFront) {
   }
 }
 
-// The metric registry is the only place a metric is spelled: every row sits
-// at its enum index, its name round-trips, and its needs flags are
-// consistent.
 // The `bisection` metric on a jellyfish whose KL cut can leave every server
 // on one side (3 servers on 20 switches) stays finite, so the report can be
 // written as JSON.
@@ -219,6 +232,9 @@ TEST(EvalEngine, BisectionReportWritesWithFewServers) {
   EXPECT_NO_THROW((void)eval::report_to_json(report).dump());
 }
 
+// The metric registry is the only place a metric is spelled: every row sits
+// at its enum index, its name round-trips, and its needs flags are
+// consistent.
 TEST(EvalEngine, MetricTableRowsAreConsistent) {
   std::set<std::string_view> names;
   const auto table = eval::metric_table();
@@ -245,17 +261,17 @@ TEST(EvalEngine, MetricTableRowsAreConsistent) {
   EXPECT_THROW(eval::metric_from_name("throughputt"), std::invalid_argument);
 }
 
+// Restricted MCF against the unrestricted optimum on the same matrix (the
+// traffic stream is routing-independent).
 TEST(RestrictedMcf, NeverBeatsUnrestrictedByMuchAndKspRecoversCapacity) {
-  Rng rng(3);
-  auto topo = topo::build_jellyfish_with_servers(20, 8, 40, rng);
-
-  Rng tm_rng(17);
-  const double optimal = flow::permutation_throughput(topo, tm_rng, {});
-
-  auto ksp = routing::make_path_provider(topo.switches(), routing::RoutingSpec{"ksp", 8});
-  Rng tm_rng2(17);
-  const double restricted = flow::restricted_permutation_throughput(topo, *ksp, tm_rng2, {});
-
+  eval::Scenario s;
+  s.topologies = {{.family = "jellyfish", .switches = 20, .ports = 8, .servers = 40}};
+  s.routings = {{"ksp", 8}};
+  s.metrics = {eval::Metric::kThroughput, eval::Metric::kRoutedThroughput};
+  s.seeds = {3};
+  const auto report = eval::Engine({.threads = 1}).run(s);
+  const double optimal = report.series(0, -1, "throughput").at(0);
+  const double restricted = report.series(0, 0, "routed_throughput").at(0);
   EXPECT_LE(restricted, optimal + 0.12);  // GK tolerance on both sides
   EXPECT_GT(restricted, 0.5 * optimal);   // 8 paths recover most capacity
 }

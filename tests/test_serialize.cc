@@ -2,6 +2,8 @@
 // error paths, and validity of the shipped scenarios/ files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
 #include "common/digest.h"
@@ -224,15 +226,18 @@ TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {
   }
 }
 
+// Every file in scenarios/ — whatever gets added there — loads and expands.
 TEST(Serialize, ShippedScenarioFilesLoadAndExpand) {
-  const char* files[] = {"fig02a.json", "fig02b.json", "fig02c.json", "fig04.json",
-                         "fig05.json",  "fig06.json",  "fig07.json",  "fig08.json",
-                         "fig09_ksp.json", "cabling.json", "growth_smoke.json",
-                         "sim_smoke.json", "smoke.json"};
-  for (const char* f : files) {
-    SCOPED_TRACE(f);
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(JF_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const auto& f : files) {
+    SCOPED_TRACE(f.filename().string());
     eval::SweepSpec spec;
-    ASSERT_NO_THROW(spec = eval::load_sweep_file(std::string(JF_SCENARIO_DIR "/") + f));
+    ASSERT_NO_THROW(spec = eval::load_sweep_file(f.string()));
     std::vector<eval::SweepPoint> points;
     ASSERT_NO_THROW(points = eval::expand_sweep(spec));
     EXPECT_FALSE(points.empty());

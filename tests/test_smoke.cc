@@ -1,29 +1,38 @@
-// End-to-end smoke checks: every subsystem is reachable through the facade.
+// End-to-end smoke check: build, evaluate and grow a network through one
+// Scenario run on the engine.
 #include <gtest/gtest.h>
 
-#include "core/jellyfish_network.h"
+#include "common/stats.h"
+#include "eval/engine.h"
 
 namespace jf {
 namespace {
 
 TEST(Smoke, BuildEvaluateExpand) {
-  auto net = core::JellyfishNetwork::build({.switches = 20, .ports = 8, .servers = 60,
-                                            .seed = 42});
-  EXPECT_EQ(net.num_switches(), 20);
-  EXPECT_EQ(net.num_servers(), 60);
+  eval::Scenario s;
+  s.name = "smoke";
+  s.topologies = {
+      {.family = "jellyfish", .switches = 20, .ports = 8, .servers = 60},
+      // 20 switches of 8 ports (5 in-fabric, 3 servers), grown by one rack.
+      {.family = "jellyfish-incr", .switches = 21, .ports = 8, .network_degree = 5,
+       .grow_from = 20},
+  };
+  s.metrics = {eval::Metric::kPathStats, eval::Metric::kThroughput};
+  s.seeds = {42};
+  const auto report = eval::Engine({.threads = 2}).run(s);
 
-  auto stats = net.path_stats();
-  EXPECT_TRUE(stats.connected);
-  EXPECT_GE(stats.diameter, 1);
+  for (int t = 0; t < 2; ++t) {
+    SCOPED_TRACE(report.topology_labels[static_cast<std::size_t>(t)]);
+    const double mean_path = report.series(t, -1, "mean_path").at(0);
+    const double diameter = report.series(t, -1, "diameter").at(0);
+    EXPECT_GE(mean_path, 1.0);
+    EXPECT_GE(diameter, 1.0);
+    EXPECT_LE(mean_path, diameter);
 
-  const double tput = net.throughput(1);
-  EXPECT_GT(tput, 0.0);
-  EXPECT_LE(tput, 1.0);
-
-  net.add_rack(8, 3);
-  EXPECT_EQ(net.num_switches(), 21);
-  EXPECT_EQ(net.num_servers(), 63);
-  EXPECT_TRUE(net.path_stats().connected);
+    const double tput = report.series(t, -1, "throughput").at(0);
+    EXPECT_GT(tput, 0.0);
+    EXPECT_LE(tput, 1.0);
+  }
 }
 
 }  // namespace
